@@ -12,9 +12,15 @@ shape functions (precomputed once per design) combined with the joint
 rotation matrices; the elastic coordinates are frozen at zero in the
 inertia terms (small-deflection linearization) while the potential keeps
 the full elastic coupling, so the model is an exact Lagrangian system and
-conserves energy without dissipation. Velocity forces are derived from
-the configuration gradient of the mass matrix via complex-step
-differentiation, which is exact to machine precision.
+conserves energy without dissipation.
+
+With the elastic coordinates frozen, M depends only on the shoulder and
+elbow angles and is a trigonometric polynomial of order <= 2 in each of
+them. Every model therefore samples the assembly once on a 5x5 grid of
+angles and keeps the 25 Fourier coefficient matrices; M and its analytic
+angle derivatives, which give the velocity forces, are read from that
+table. The constructor checks the table against the assembly at off-grid
+angles and refuses a model whose mass matrix carries a higher harmonic.
 
 Everything is assembled in the frame co-rotating with the base joint; the
 mass matrix is independent of q1 (cyclic coordinate) and gravity points
@@ -34,8 +40,18 @@ from .beam import BeamSpec, Material, RitzBasis, quadrature, section_properties,
 from .beam import curvature_map, stiffness_matrix
 from .trajectory import TrajectoryPlan
 
-_CS_STEP = 1e-200  # complex-step size; derivatives are exact at this scale
 _EX = np.array([1.0, 0.0, 0.0])
+# Mass-matrix table. The order-2 Fourier basis 1, cos q, cos 2q, sin q,
+# sin 2q is written as cos(k q - phase): one cosine gives the values and,
+# a quarter turn later and scaled by k, the derivatives. Five equispaced
+# angles determine such a polynomial; the constructor checks the table
+# against the assembly at the off-grid (q2, q3) pairs below.
+_K = np.array([0.0, 1.0, 2.0, 1.0, 2.0])
+_PHASE = np.array([[0.0, 0.0, 0.0, 0.5, 0.5], [-0.5, -0.5, -0.5, 0.0, 0.0]]) * math.pi
+_SCALE = np.stack([np.ones(5), _K])
+_GRID = 2.0 * math.pi * np.arange(5) / 5.0
+_CHECK_ANGLES = np.array([[0.3, 1.1], [-1.7, -0.4], [2.9, 5.6], [4.1, -2.6], [-5.3, 0.9]])
+_TABLE_RTOL = 1e-12
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
 
@@ -155,6 +171,11 @@ class GeneralizedState:
         self.qd = np.asarray(self.qd, dtype=float)
         if self.q.shape != self.qd.shape or self.q.ndim != 1:
             raise ValueError("q and qd must be 1-d arrays of equal length")
+
+
+def _harmonics(q) -> np.ndarray:
+    """Fourier basis at the angles q (rows: values, derivatives); (..., 2, 5)."""
+    return _SCALE * np.cos(np.multiply.outer(q, _K)[..., None, :] - _PHASE)
 
 
 def _roty(q: np.ndarray) -> np.ndarray:
@@ -285,6 +306,19 @@ class RobotModel:
         self.curv2 = curvature_map(spec2, design.links[1].xi_crit)
         # gravity weight on the link-1 tip path (hub, second beam, payload)
         self._m_tip = design.hub2_mass + self.beam2.mb + design.payload_mass
+        # M(q2, q3) = sum_jk A_jk u_j(q2) u_k(q3): 5-point real DFT of the
+        # assembly along each angle
+        samples = self.mass_matrix_batch(_GRID[:, None], _GRID[None, :])
+        dft = np.linalg.inv(_harmonics(_GRID)[:, 0])
+        table = np.einsum("jp,kr,prxy->jkxy", dft, dft, samples)
+        self._table = table.reshape(25, self.n**2)
+        ref = self.mass_matrix_batch(_CHECK_ANGLES[:, 0], _CHECK_ANGLES[:, 1])
+        err = np.abs(self._from_table(_CHECK_ANGLES)[:, 0] - ref).max() / np.abs(ref).max()
+        if not err <= _TABLE_RTOL:
+            raise ValueError(
+                f"mass matrix is not an order-2 trigonometric polynomial in the joint "
+                f"angles (table residual {err:.2e} > {_TABLE_RTOL:.0e})"
+            )
 
     # ----- mass matrix -------------------------------------------------
 
@@ -306,10 +340,13 @@ class RobotModel:
         M += _t(Jw) @ (R @ bd.DL @ _t(R)) @ Jw
 
     def mass_matrix_batch(self, q2, q3) -> np.ndarray:
-        """Mass matrices for batched shoulder/elbow angles; (..., n, n)."""
-        q2 = np.asarray(q2)
-        q3 = np.asarray(q3)
-        dtype = np.result_type(q2.dtype, q3.dtype, float)
+        """Mass matrices for batched shoulder/elbow angles; (..., n, n).
+
+        This is the assembly the Fourier table is fitted to and checked
+        against; the dynamics read the table.
+        """
+        q2 = np.asarray(q2, dtype=float)
+        q3 = np.asarray(q3, dtype=float)
         shape = np.broadcast_shapes(q2.shape, q3.shape)
         q2 = np.broadcast_to(q2, shape)
         q3 = np.broadcast_to(q3, shape)
@@ -317,15 +354,15 @@ class RobotModel:
         R2 = _roty(q2)
         R23 = R2 @ _roty(q3)
 
-        M = np.zeros(shape + (n, n), dtype=dtype)
+        M = np.zeros(shape + (n, n))
         idx = np.arange(3)
         M[..., idx, idx] += self.B
         M[..., 3, 3] += self.design.hub1_inertia
 
-        Jw1 = np.zeros(shape + (3, n), dtype=dtype)
+        Jw1 = np.zeros(shape + (3, n))
         Jw1[..., 2, 3] = 1.0  # base joint axis e_z
         Jw1[..., 1, 4] = 1.0  # shoulder axis e_y
-        Jp0_1 = np.zeros(shape + (3, n), dtype=dtype)
+        Jp0_1 = np.zeros(shape + (3, n))
         self._add_beam(M, self.beam1, Jp0_1, Jw1, R2, self.sl1)
 
         p_t1 = self.beam1.L * R2[..., :, 0]
@@ -349,16 +386,23 @@ class RobotModel:
         M += self.design.payload_mass * _t(J_pl) @ J_pl
         return M
 
+    def _from_table(self, q23: np.ndarray) -> np.ndarray:
+        """M, dM/dq2 and dM/dq3 at the angle pairs q23 (..., 2) read from
+        the Fourier table; (..., 3, n, n)."""
+        H = _harmonics(q23)
+        left = H[..., 0, [0, 1, 0], :]  # u(q2), u'(q2), u(q2)
+        right = H[..., 1, [0, 0, 1], :]  # u(q3), u(q3), u'(q3)
+        basis = left[..., :, None] * right[..., None, :]
+        lead = basis.shape[:-2]
+        return (basis.reshape(lead + (25,)) @ self._table).reshape(lead + (self.n, self.n))
+
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
-        return self.mass_matrix_batch(q[4], q[5])
+        return self._from_table(np.asarray(q, dtype=float)[4:6])[0]
 
     def mass_gradients(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(M, dM/dq2, dM/dq3) via one batched complex-step evaluation."""
-        h = _CS_STEP
-        q2 = np.array([q[4], q[4] + 1j * h, q[4]])
-        q3 = np.array([q[5], q[5], q[5] + 1j * h])
-        out = self.mass_matrix_batch(q2, q3)
-        return out[0].real, out[1].imag / h, out[2].imag / h
+        """(M, dM/dq2, dM/dq3) from the Fourier table; q may be a batch (..., n)."""
+        out = self._from_table(np.asarray(q, dtype=float)[..., 4:6])
+        return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
 
     # ----- potential energy and its gradient ---------------------------
 
@@ -462,6 +506,20 @@ class RobotModel:
 # public EOM / energy API
 
 
+def eom(model: RobotModel, q: np.ndarray, qd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mass matrix M(q) and velocity-force vector h = Mdot qd - 1/2 qd^T (dM/dq) qd.
+
+    q and qd may be batches (..., n); M is (..., n, n) and h (..., n).
+    """
+    M, dM2, dM3 = model.mass_gradients(q)
+    qd = np.asarray(qd, dtype=float)
+    Mdot = dM2 * qd[..., 4, None, None] + dM3 * qd[..., 5, None, None]
+    h = (Mdot @ qd[..., None])[..., 0]
+    h[..., 4] -= 0.5 * (qd[..., None, :] @ dM2 @ qd[..., None])[..., 0, 0]
+    h[..., 5] -= 0.5 * (qd[..., None, :] @ dM3 @ qd[..., None])[..., 0, 0]
+    return M, h
+
+
 def assemble_eom(
     design: RobotDesign | RobotModel, state: GeneralizedState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,15 +529,11 @@ def assemble_eom(
     q, qd = state.q, state.qd
     if q.shape != (model.n,):
         raise ValueError(f"state dimension {q.shape} does not match model ({model.n},)")
-    M, dM2, dM3 = model.mass_gradients(q)
+    M, gyro = eom(model, q, qd)
     try:
         cho_factor(M)
     except LinAlgError as exc:
         raise ValueError("singular mass matrix (inconsistent inertia data)") from exc
-    Mdot = dM2 * qd[4] + dM3 * qd[5]
-    gyro = Mdot @ qd
-    gyro[4] -= 0.5 * qd @ dM2 @ qd
-    gyro[5] -= 0.5 * qd @ dM3 @ qd
     return M, gyro, model.potential_grad(q)
 
 
@@ -586,56 +640,54 @@ class SimulationResult:
             raise ValueError("end-effector deviation contains non-finite values")
 
 
+def _free_jacobian(model: RobotModel, q: np.ndarray, g_free: np.ndarray, h: float) -> np.ndarray:
+    """Forward-difference Jacobian, with step h, of the potential gradient
+    over the free coordinates (q_L, q_e) at q, where it equals g_free."""
+    n_free = model.n - 3
+    jac = np.empty((n_free, n_free))
+    for k in range(n_free):
+        qp = q.copy()
+        qp[3 + k] += h
+        jac[:, k] = (model.potential_grad(qp)[3:] - g_free) / h
+    return jac
+
+
 def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> np.ndarray:
     """Full coordinate vector with (q_L, q_e) in static equilibrium while
-    the motors hold q_motor (gear springs carry the gravity load)."""
-    n_free = model.n - 3
+    the motors hold q_motor (gear springs carry the gravity load).
+
+    Newton's method stops when the free gradient norm is below 1e-9 or,
+    for a model so stiff that roundoff keeps the gradient above that, when
+    the step is below 1e-12; SimulationError if neither happens in 50
+    steps.
+    """
     q = np.zeros(model.n)
     q[:3] = q_motor
     q[3:6] = q_motor
-
-    def residual(x):
-        q[3:] = x
-        return model.potential_grad(q)[3:]
-
-    x = q[3:].copy()
     for _ in range(50):
-        r = residual(x)
+        r = model.potential_grad(q)[3:]
         if np.linalg.norm(r) < 1e-9:
-            break
-        jac = np.empty((n_free, n_free))
-        h = 1e-7
-        for k in range(n_free):
-            xp = x.copy()
-            xp[k] += h
-            jac[:, k] = (residual(xp) - r) / h
-        x = x - np.linalg.solve(jac, r)
-    q[3:] = x
-    return q
+            return q
+        step = np.linalg.solve(_free_jacobian(model, q, r, 1e-7), r)
+        q[3:] -= step
+        if np.linalg.norm(step) < 1e-12:
+            return q
+    residual = np.linalg.norm(model.potential_grad(q)[3:])
+    raise SimulationError(
+        f"static equilibrium not found in 50 Newton steps (residual norm {residual:.3e})"
+    )
 
 
 def linearized_periods(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Vibration periods of the (q_L, q_e) subsystem with motors held,
     from the generalized eigenproblem of the potential Hessian."""
-    n_free = model.n - 3
-    h = 1e-6
-
-    def grad_free(x):
-        qq = q.copy()
-        qq[3:] = x
-        return model.potential_grad(qq)[3:]
-
-    x0 = q[3:].copy()
-    g0 = grad_free(x0)
-    K = np.empty((n_free, n_free))
-    for k in range(n_free):
-        xp = x0.copy()
-        xp[k] += h
-        K[:, k] = (grad_free(xp) - g0) / h
+    K = _free_jacobian(model, q, model.potential_grad(q)[3:], 1e-6)
     K = 0.5 * (K + K.T)
     M = model.mass_matrix(q)[3:, 3:]
     w2 = eigh(K, M, eigvals_only=True)
     w2 = w2[w2 > 1e-9]
+    if w2.size == 0:
+        raise SimulationError("no vibration mode: the potential Hessian has no positive eigenvalue")
     return 2.0 * math.pi / np.sqrt(w2)
 
 
@@ -650,32 +702,13 @@ def _feedforward_table(
     """
     ts = np.arange(0.0, t_end + dt, dt)
     qdes, qddes, qdddes = plan.sample_grid(ts)
-    h = _CS_STEP
-    q2 = np.stack([qdes[:, 1], qdes[:, 1] + 1j * h, qdes[:, 1]], axis=0)
-    q3 = np.stack([qdes[:, 2], qdes[:, 2], qdes[:, 2] + 1j * h], axis=0)
-    out = model.mass_matrix_batch(q2, q3)
-    M = out[0].real
-    dM2 = out[1].imag / h
-    dM3 = out[2].imag / h
-
-    n = model.n
-    S = np.zeros((n, 3))
+    S = np.zeros((model.n, 3))
     S[:3] = np.eye(3)
     S[3:6] = np.eye(3)
-    tau = np.empty((ts.size, 3))
-    for k in range(ts.size):
-        qd_full = S @ qddes[k]
-        qdd_full = S @ qdddes[k]
-        Mk = M[k]
-        Mdot = dM2[k] * qddes[k, 1] + dM3[k] * qddes[k, 2]
-        gyro = Mdot @ qd_full
-        gyro[4] -= 0.5 * qd_full @ dM2[k] @ qd_full
-        gyro[5] -= 0.5 * qd_full @ dM3[k] @ qd_full
-        q_full = np.zeros(n)
-        q_full[:3] = qdes[k]
-        q_full[3:6] = qdes[k]
-        g = model.potential_grad(q_full)
-        tau[k] = S.T @ (Mk @ qdd_full + gyro + g)
+    q_full = qdes @ S.T
+    M, gyro = eom(model, q_full, qddes @ S.T)
+    g = np.array([model.potential_grad(q) for q in q_full])
+    tau = ((M @ (qdddes @ S.T)[..., None])[..., 0] + gyro + g) @ S
     return ts, tau
 
 
@@ -729,11 +762,7 @@ def simulate(
     def rhs(t, y):
         q = y[:n]
         qd = y[n : 2 * n]
-        M, dM2, dM3 = model.mass_gradients(q)
-        Mdot = dM2 * qd[4] + dM3 * qd[5]
-        gyro = Mdot @ qd
-        gyro[4] -= 0.5 * qd @ dM2 @ qd
-        gyro[5] -= 0.5 * qd @ dM3 @ qd
+        M, gyro = eom(model, q, qd)
         g = model.potential_grad(q)
         Q = np.zeros(n)
         damp = model.d_gear * (qd[:3] - qd[3:6])
@@ -797,21 +826,19 @@ def simulate(
     tau_hist = np.zeros((ts.size, 3))
     if controlled:
         q_des, qd_des, _ = plan.sample_grid(ts)
-        ints = Y[:, 2 * n :]
         ff = None
-        for k in range(ts.size):
-            if tau_ff_t is not None:
-                ff = np.array([np.interp(ts[k], tau_ff_t, tau_ff_v[:, i]) for i in range(3)])
-            tau_hist[k], _ = controller(
-                settings.gains,
-                q_hist[k, :3],
-                qd_hist[k, :3],
-                q_des[k],
-                qd_des[k],
-                ints[k],
-                ff,
-                model.tau_limit,
-            )
+        if tau_ff_t is not None:
+            ff = np.column_stack([np.interp(ts, tau_ff_t, tau_ff_v[:, i]) for i in range(3)])
+        tau_hist, _ = controller(
+            settings.gains,
+            q_hist[:, :3],
+            qd_hist[:, :3],
+            q_des,
+            qd_des,
+            Y[:, 2 * n :],
+            ff,
+            model.tau_limit,
+        )
     elif override is not None:
         for k in range(ts.size):
             tau_hist[k] = override(ts[k])

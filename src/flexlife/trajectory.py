@@ -201,7 +201,3 @@ def plan_joint_move(
     profiles = [_JointProfile(a, b, lim) for a, b, lim in zip(q_pick, q_place, limits)]
     return TrajectoryPlan(profiles)
 
-
-def sample(plan: TrajectoryPlan, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Functional alias of :meth:`TrajectoryPlan.sample`."""
-    return plan.sample(t)

@@ -75,17 +75,48 @@ class TestAssembly:
             assert g[k] == pytest.approx(fd, rel=2e-6, abs=2e-6)
 
     def test_mass_gradients_match_finite_differences(self, model):
+        # central differences of the assembly, not of the table under test
         rng = np.random.default_rng(3)
-        q = rng.normal(0.0, 0.4, model.n)
-        _, dM2, dM3 = model.mass_gradients(q)
         h = 1e-6
-        for idx, dM in ((4, dM2), (5, dM3)):
-            qp = q.copy()
-            qp[idx] += h
-            qm = q.copy()
-            qm[idx] -= h
-            fd = (model.mass_matrix(qp) - model.mass_matrix(qm)) / (2.0 * h)
-            np.testing.assert_allclose(dM, fd, atol=1e-8 * max(1.0, np.abs(dM).max()))
+        for q in [rng.normal(0.0, 0.4, model.n)] + list(rng.uniform(-12.0, 12.0, (4, model.n))):
+            _, dM2, dM3 = model.mass_gradients(q)
+            for dq2, dq3, dM in ((h, 0.0, dM2), (0.0, h, dM3)):
+                fd = (
+                    model.mass_matrix_batch(q[4] + dq2, q[5] + dq3)
+                    - model.mass_matrix_batch(q[4] - dq2, q[5] - dq3)
+                ) / (2.0 * h)
+                np.testing.assert_allclose(dM, fd, atol=1e-8 * max(1.0, np.abs(dM).max()))
+
+    def test_mass_table_matches_assembly(self, model):
+        rng = np.random.default_rng(4)
+        Q = rng.normal(0.0, 1.0, (24, model.n))
+        Q[:, 4:6] = rng.uniform(-15.0, 15.0, (24, 2))  # well past one turn
+        assert np.abs(Q[:, 4:6]).max() > 2.0 * np.pi
+        ref = model.mass_matrix_batch(Q[:, 4], Q[:, 5])
+        for q, M_ref in zip(Q, ref):
+            np.testing.assert_allclose(model.mass_matrix(q), M_ref, rtol=0.0,
+                                       atol=1e-12 * np.abs(M_ref).max())
+
+    def test_eom_batch_matches_single_states(self, model):
+        rng = np.random.default_rng(6)
+        Q = rng.normal(0.0, 1.0, (5, model.n))
+        Qd = rng.normal(0.0, 2.0, (5, model.n))
+        M, h = dyn.eom(model, Q, Qd)
+        for k in range(5):
+            M_k, h_k, _ = dyn.assemble_eom(model, dyn.GeneralizedState(Q[k], Qd[k]))
+            np.testing.assert_array_equal(M[k], M_k)
+            np.testing.assert_allclose(h[k], h_k, rtol=0.0, atol=1e-12 * np.abs(h_k).max())
+
+    def test_mass_table_rejects_third_harmonic(self, small_design, monkeypatch):
+        assembly = dyn.RobotModel.mass_matrix_batch
+
+        def with_third_harmonic(self, q2, q3):
+            M = assembly(self, q2, q3)
+            return M + 1e-6 * np.cos(3.0 * np.asarray(q2))[..., None, None] * np.eye(self.n)
+
+        monkeypatch.setattr(dyn.RobotModel, "mass_matrix_batch", with_third_harmonic)
+        with pytest.raises(ValueError, match="order-2"):
+            dyn.RobotModel(small_design)
 
     def test_dimension_mismatch_rejected(self, model):
         state = dyn.GeneralizedState(q=np.zeros(model.n + 1), qd=np.zeros(model.n + 1))
@@ -377,6 +408,44 @@ class TestSimulate:
         a1 = steady_amplitude(0.5)
         a2 = steady_amplitude(1.0)
         assert a2 / a1 == pytest.approx(2.0, rel=0.05)
+
+    def test_static_equilibrium_raises_without_root(self, small_design):
+        model = dyn.RobotModel(small_design)
+        model.potential_grad = lambda q: 1.0 + q**2  # no root, regular Jacobian
+        with pytest.raises(dyn.SimulationError, match="residual norm"):
+            dyn.static_equilibrium(model, np.array([0.2, 0.6, -1.0]))
+
+    def test_linearized_periods_without_modes_raises(self, small_design):
+        model = dyn.RobotModel(small_design)
+        model.potential_grad = lambda q: np.zeros(model.n)  # no stiffness at all
+        with pytest.raises(dyn.SimulationError, match="no vibration mode"):
+            dyn.linearized_periods(model, np.zeros(model.n))
+
+    def test_controller_replay_matches_per_sample_loop(
+        self, small_design, short_plan, fast_sim, monkeypatch
+    ):
+        calls = []
+        real_controller = dyn.controller
+
+        def recording(*args):
+            calls.append(args)
+            return real_controller(*args)
+
+        monkeypatch.setattr(dyn, "controller", recording)
+        res = dyn.simulate(small_design, short_plan, fast_sim)
+        replay = calls[-1]  # the post-solve call on the whole grid
+        assert replay[1].shape == (res.times.size, 3)
+        integrator = replay[5]
+        model = dyn.RobotModel(small_design)
+        ff_t, ff_v = dyn._feedforward_table(model, short_plan, res.t_task + res.t_settle, 2e-3)
+        for k, t in enumerate(res.times):
+            ff = np.array([np.interp(t, ff_t, ff_v[:, i]) for i in range(3)])
+            q_des, qd_des, _ = short_plan.sample(t)
+            tau, _ = real_controller(
+                fast_sim.gains, res.q[k, :3], res.qd[k, :3], q_des, qd_des,
+                integrator[k], ff, model.tau_limit,
+            )
+            np.testing.assert_array_equal(res.tau[k], tau)
 
     def test_static_equilibrium_balances_gradient(self, small_design):
         model = dyn.RobotModel(small_design)

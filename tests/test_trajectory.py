@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from flexlife.trajectory import JointLimits, TrajectoryPlan, plan_joint_move, sample
+from flexlife.trajectory import JointLimits, TrajectoryPlan, plan_joint_move
 
 
 def reintegrate_endpoint(plan: TrajectoryPlan, joint: int = 0, points_per_seg: int = 41):
@@ -84,8 +84,8 @@ def test_midpoint_symmetry():
 
 def test_sampling_clamps_outside_span():
     plan = plan_joint_move([0.0], [1.0], JointLimits(1.0, 2.0, 10.0))
-    assert sample(plan, -1.0)[0][0] == 0.0
-    assert sample(plan, plan.t_task + 5.0)[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert plan.sample(-1.0)[0][0] == 0.0
+    assert plan.sample(plan.t_task + 5.0)[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_finite_difference_consistency():
