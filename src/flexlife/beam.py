@@ -105,18 +105,6 @@ class BeamSpec:
         return self.n_theta + self.n_v + self.n_w
 
 
-@dataclass(frozen=True)
-class Curvature:
-    """Curvature vector at one axial station: (theta', v'', w'')."""
-
-    twist_rate: float  # rad/m
-    v_bend: float  # 1/m
-    w_bend: float  # 1/m
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.twist_rate, self.v_bend, self.w_bend])
-
-
 def bending_modes(L: float, n: int, xi, deriv: int = 0) -> np.ndarray:
     """Clamped-free bending eigenfunctions (or derivatives) at xi.
 
@@ -195,15 +183,9 @@ def _gauss_nodes(L: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * L * (x + 1.0), 0.5 * L * w
 
 
-def quadrature(spec_or_L, max_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def quadrature(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, L], sized for mode products."""
-    if isinstance(spec_or_L, BeamSpec):
-        L = spec_or_L.L
-        modes = max(spec_or_L.n_v, spec_or_L.n_w, spec_or_L.n_theta)
-    else:
-        L = float(spec_or_L)
-        modes = max_modes if max_modes is not None else 6
-    return _gauss_nodes(L, 16 + 8 * modes)
+    return _gauss_nodes(spec.L, 16 + 8 * max(spec.n_v, spec.n_w, spec.n_theta))
 
 
 def stiffness_matrix(spec: BeamSpec, basis: RitzBasis | None = None) -> np.ndarray:
@@ -215,7 +197,7 @@ def stiffness_matrix(spec: BeamSpec, basis: RitzBasis | None = None) -> np.ndarr
     """
     if basis is None:
         basis = shape_basis(spec)
-    xi, wts = quadrature(spec.L, max(spec.n_v, spec.n_w, spec.n_theta))
+    xi, wts = quadrature(spec)
     E = spec.material.E
     G = spec.material.G
     sec = spec.section
@@ -238,30 +220,18 @@ def stiffness_matrix(spec: BeamSpec, basis: RitzBasis | None = None) -> np.ndarr
     return 0.5 * (K + K.T)  # bitwise-exact symmetry regardless of BLAS path
 
 
-def bending_mass_matrix(spec: BeamSpec, basis: RitzBasis | None = None) -> np.ndarray:
+def bending_mass_matrix(spec: BeamSpec) -> np.ndarray:
     """Consistent translational mass matrix rho A * int(v v^T) of the
     bending-y family; used for modal checks against analytic frequencies."""
-    if basis is None:
-        basis = shape_basis(spec)
-    xi, wts = quadrature(spec.L, max(spec.n_v, spec.n_w, spec.n_theta))
-    v = basis.v(xi, 0) * np.sqrt(wts)
+    xi, wts = quadrature(spec)
+    v = bending_modes(spec.L, spec.n_v, xi) * np.sqrt(wts)
     M = spec.material.rho * spec.section.A_B * v @ v.T
     return 0.5 * (M + M.T)
 
 
-def element_inertia(spec: BeamSpec, xi: float) -> tuple[float, np.ndarray]:
-    """Distributed inertia (dm/dxi, dJ/dxi) of the uniform beam at xi."""
-    if not (0.0 <= xi <= spec.L):
-        raise ValueError(f"xi={xi} outside the beam span [0, {spec.L}]")
-    rho = spec.material.rho
-    sec = spec.section
-    return rho * sec.A_B, np.diag([rho * sec.I_D, rho * sec.I_y, rho * sec.I_z])
-
-
-def curvature_map(spec: BeamSpec, xi: float, basis: RitzBasis | None = None) -> np.ndarray:
+def curvature_map(spec: BeamSpec, xi: float) -> np.ndarray:
     """Linear map C (3 x n_elastic) with kappa = C @ q_e at station xi."""
-    if basis is None:
-        basis = shape_basis(spec)
+    basis = shape_basis(spec)
     m = spec.n_elastic
     C = np.zeros((3, m))
     i0, i1 = spec.n_theta, spec.n_theta + spec.n_v
@@ -269,14 +239,3 @@ def curvature_map(spec: BeamSpec, xi: float, basis: RitzBasis | None = None) -> 
     C[1, i0:i1] = basis.v(xi, 2)
     C[2, i1:] = basis.w(xi, 2)
     return C
-
-
-def curvature_at(spec: BeamSpec, xi: float, q_e) -> Curvature:
-    """Curvature (theta', v'', w'') at xi for elastic coordinates q_e."""
-    q_e = np.asarray(q_e, dtype=float)
-    if q_e.shape != (spec.n_elastic,):
-        raise ValueError(f"expected q_e of shape ({spec.n_elastic},), got {q_e.shape}")
-    if not (0.0 <= xi <= spec.L):
-        raise ValueError(f"xi={xi} outside the beam span [0, {spec.L}]")
-    k = curvature_map(spec, xi) @ q_e
-    return Curvature(twist_rate=k[0], v_bend=k[1], w_bend=k[2])

@@ -115,9 +115,9 @@ def _report_dict(report: fat.DamageReport) -> dict:
 @click.argument("material_json", type=click.Path(exists=True))
 @click.option("--t-task", type=float, default=None,
               help="Task duration in s (default: history span).")
-@click.option("--angles", type=int, default=73, show_default=True)
-@click.option("--mean-bins", type=int, default=32, show_default=True)
-@click.option("--amp-bins", type=int, default=32, show_default=True)
+@click.option("--angles", type=click.IntRange(min=1), default=73, show_default=True)
+@click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
+@click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--gate", type=float, default=0.0, show_default=True,
               help="Hysteresis gate in Pa.")
 @click.option("--out-dir", type=click.Path(), default=".")
@@ -149,8 +149,8 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
 
 @main.command("rainflow")
 @click.argument("series_csv", type=click.Path(exists=True))
-@click.option("--mean-bins", type=int, default=32, show_default=True)
-@click.option("--amp-bins", type=int, default=32, show_default=True)
+@click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
+@click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--gate", type=float, default=0.0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
@@ -263,9 +263,7 @@ def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
     )
     try:
         outcome = run_sweep(cfg.grid, cfg.design, plan, settings)
-    except SimulationError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # includes SimulationError
         _fail(EXIT_NUMERIC, str(exc))
     _write_sweep_outputs(out, outcome, plot_cap_hours)
     for r in outcome.failures:

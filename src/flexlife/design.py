@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fatigue
 from .beam import section_properties
-from .dynamics import RobotDesign, SimSettings, SimulationResult, simulate
+from .dynamics import RobotDesign, SimSettings, SimulationError, SimulationResult, simulate
 from .stress import StressHistory, default_stress_point, material_point, stresses_from_curvature
 from .trajectory import TrajectoryPlan
 
@@ -63,12 +63,6 @@ class CandidateResult:
     d_max: float | None = None  # damage per task, None if fatigue stage skipped
     t_life_seconds: float | None = None  # inf for no-damage candidates
     error: str | None = None
-
-    @property
-    def t_life_hours(self) -> float | None:
-        if self.t_life_seconds is None:
-            return None
-        return self.t_life_seconds / 3600.0
 
 
 @dataclass(frozen=True)
@@ -216,7 +210,7 @@ def _evaluate_candidate(args):
         j_vib = vibration_criterion(result)
         histories = link_stress_histories(design, result)
         return config, j_vib, histories, None
-    except Exception as exc:  # noqa: BLE001 - failures are recorded per candidate
+    except (SimulationError, ValueError) as exc:  # LinAlgError is a ValueError
         return config, math.nan, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -230,8 +224,9 @@ def run_sweep(
 
     Candidates are evaluated independently (optionally by a process pool);
     results are reduced in configuration order, so the outcome does not
-    depend on the worker count. Per-candidate failures are recorded and
-    the sweep continues.
+    depend on the worker count. A candidate whose simulation fails
+    numerically (SimulationError or ValueError) is recorded as failed and
+    the sweep continues; any other exception propagates.
     """
     reference = base_design.with_thicknesses(*settings.reference)
     tasks = [

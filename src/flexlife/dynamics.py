@@ -108,6 +108,10 @@ class LinkParams:
     stress_y: float | None = None  # default: top-face mid-wall point
     stress_z: float | None = None
 
+    def __post_init__(self):
+        if not (0.0 <= self.xi_crit <= self.length):
+            raise ValueError(f"xi_crit={self.xi_crit} outside the link span [0, {self.length}]")
+
 
 @dataclass(frozen=True)
 class RobotDesign:
@@ -149,14 +153,6 @@ class RobotDesign:
                 replace(self.links[1], wall_thickness=t2),
             ),
         )
-
-    @property
-    def n_elastic(self) -> int:
-        return self.beam_spec(0).n_elastic + self.beam_spec(1).n_elastic
-
-    @property
-    def n_coords(self) -> int:
-        return 6 + self.n_elastic
 
 
 @dataclass
@@ -228,7 +224,7 @@ class _BeamData:
     """
 
     def __init__(self, spec: BeamSpec, basis: RitzBasis):
-        xi, wts = quadrature(spec.L, max(spec.n_v, spec.n_w, spec.n_theta))
+        xi, wts = quadrature(spec)
         rho = spec.material.rho
         rhoA = rho * spec.section.A_B
         m = spec.n_elastic
@@ -406,29 +402,33 @@ class RobotModel:
 
     # ----- potential energy and its gradient ---------------------------
 
-    def _tip_frames(self, q2, q3, qe1):
-        """(R2, A2, tip_local, R3u-independent pieces) with deformation."""
-        R2 = _roty(q2)
-        R3 = _roty(q3)
-        tip_local = self.beam1.L * _EX + self.beam1.PhiL @ qe1
-        S1 = np.eye(3) + _skew(self.beam1.PsiL @ qe1)
-        A2 = R2 @ S1 @ R3
-        return R2, R3, S1, A2, tip_local
+    def _tip_frames(self, q: np.ndarray):
+        """Deformed-arm kinematics of q (..., n).
+
+        Returns the shoulder and elbow rotations R2 and R3, the small
+        rotation S1 of the link-1 tip, the link-2 frame A2 = R2 S1 R3, the
+        deformed link tips r1 and r2 (each in its own link frame) and the
+        first mass moments h1 (link 1) and u2 (link 2 plus payload) that
+        gravity acts on.
+        """
+        qe1, qe2 = q[..., self.sl1], q[..., self.sl2]
+        R2 = _roty(q[..., 4])
+        R3 = _roty(q[..., 5])
+        S1 = np.eye(3) + _skew(qe1 @ self.beam1.PsiL.T)
+        r1 = self.beam1.L * _EX + qe1 @ self.beam1.PhiL.T
+        r2 = self.beam2.L * _EX + qe2 @ self.beam2.PhiL.T
+        h1 = self.beam1.s1 * _EX + qe1 @ self.beam1.P0.T
+        u2 = self.beam2.s1 * _EX + qe2 @ self.beam2.P0.T + self.design.payload_mass * r2
+        return R2, R3, S1, R2 @ S1 @ R3, r1, r2, h1, u2
 
     def potential(self, q: np.ndarray) -> float:
         """Gravity + beam strain + gear spring energy (zero at the
         horizontal undeformed rest pose)."""
         qM, qL = q[:3], q[3:6]
         qe1, qe2 = q[self.sl1], q[self.sl2]
-        R2, R3, S1, A2, tip_local = self._tip_frames(qL[1], qL[2], qe1)
+        R2, _, _, A2, r1, _, h1, u2 = self._tip_frames(q)
         c = -self.gravity
-        h1 = self.beam1.s1 * _EX + self.beam1.P0 @ qe1
-        u2 = (
-            self.beam2.s1 * _EX
-            + self.beam2.P0 @ qe2
-            + self.design.payload_mass * (self.beam2.L * _EX + self.beam2.PhiL @ qe2)
-        )
-        weighted = R2 @ (h1 + self._m_tip * tip_local) + A2 @ u2
+        weighted = R2 @ (h1 + self._m_tip * r1) + A2 @ u2
         v_grav = c @ weighted
         v_elastic = 0.5 * (qe1 @ self.beam1.K @ qe1 + qe2 @ self.beam2.K @ qe2)
         dq_gear = qM - qL
@@ -439,17 +439,11 @@ class RobotModel:
         """Analytic gradient of :meth:`potential` (the vector g)."""
         qM, qL = q[:3], q[3:6]
         qe1, qe2 = q[self.sl1], q[self.sl2]
-        R2, R3, S1, A2, tip_local = self._tip_frames(qL[1], qL[2], qe1)
+        R2, R3, S1, A2, r1, _, h1, u2 = self._tip_frames(q)
         c = -self.gravity
-        h1 = self.beam1.s1 * _EX + self.beam1.P0 @ qe1
-        u2 = (
-            self.beam2.s1 * _EX
-            + self.beam2.P0 @ qe2
-            + self.design.payload_mass * (self.beam2.L * _EX + self.beam2.PhiL @ qe2)
-        )
         g = np.zeros(self.n)
         # shoulder / elbow gravity torques
-        local = h1 + self._m_tip * tip_local + S1 @ (R3 @ u2)
+        local = h1 + self._m_tip * r1 + S1 @ (R3 @ u2)
         g[4] = c @ (_droty(qL[1]) @ local)
         g[5] = c @ (R2 @ S1 @ _droty(qL[2]) @ u2)
         # elastic gravity coupling
@@ -475,17 +469,11 @@ class RobotModel:
     def end_effector(self, q: np.ndarray, elastic: bool = True) -> np.ndarray:
         """End-effector position(s) in the base-joint frame; q (..., n)."""
         q = np.asarray(q, dtype=float)
-        q2, q3 = q[..., 4], q[..., 5]
-        R2 = _roty(q2)
-        R3 = _roty(q3)
         if elastic:
-            qe1 = q[..., self.sl1]
-            qe2 = q[..., self.sl2]
-            tip_local = self.beam1.L * _EX + qe1 @ self.beam1.PhiL.T
-            S1 = np.eye(3) + _skew(qe1 @ self.beam1.PsiL.T)
-            r2_local = self.beam2.L * _EX + qe2 @ self.beam2.PhiL.T
-            A2 = R2 @ S1 @ R3
-            return (R2 @ tip_local[..., None])[..., 0] + (A2 @ r2_local[..., None])[..., 0]
+            R2, _, _, A2, r1, r2, _, _ = self._tip_frames(q)
+            return (R2 @ r1[..., None])[..., 0] + (A2 @ r2[..., None])[..., 0]
+        R2 = _roty(q[..., 4])
+        R3 = _roty(q[..., 5])
         tip = self.beam1.L * R2[..., :, 0]
         return tip + self.beam2.L * (R2 @ R3)[..., :, 0]
 
@@ -518,23 +506,6 @@ def eom(model: RobotModel, q: np.ndarray, qd: np.ndarray) -> tuple[np.ndarray, n
     h[..., 4] -= 0.5 * (qd[..., None, :] @ dM2 @ qd[..., None])[..., 0, 0]
     h[..., 5] -= 0.5 * (qd[..., None, :] @ dM3 @ qd[..., None])[..., 0, 0]
     return M, h
-
-
-def assemble_eom(
-    design: RobotDesign | RobotModel, state: GeneralizedState
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mass matrix, velocity-force vector G(q, qd) qd and potential
-    gradient g(q) for one generalized state."""
-    model = design if isinstance(design, RobotModel) else RobotModel(design)
-    q, qd = state.q, state.qd
-    if q.shape != (model.n,):
-        raise ValueError(f"state dimension {q.shape} does not match model ({model.n},)")
-    M, gyro = eom(model, q, qd)
-    try:
-        cho_factor(M)
-    except LinAlgError as exc:
-        raise ValueError("singular mass matrix (inconsistent inertia data)") from exc
-    return M, gyro, model.potential_grad(q)
 
 
 def energy(design: RobotDesign | RobotModel, state: GeneralizedState) -> tuple[float, float]:

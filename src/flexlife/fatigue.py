@@ -12,7 +12,7 @@ duration t_task is t_task / D_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,8 +140,6 @@ class DamageReport:
     t_task: float
     t_life_seconds: float  # inf when no damage accumulates
     finite_life: bool
-    binning: tuple[int, int] = (32, 32)
-    meta: dict = field(default_factory=dict)
 
     @property
     def t_life_hours(self) -> float:
@@ -188,5 +186,4 @@ def critical_plane_lifetime(
         t_task=float(t_task),
         t_life_seconds=(t_task / d_max) if finite else math.inf,
         finite_life=finite,
-        binning=(n_mean_bins, n_amp_bins),
     )

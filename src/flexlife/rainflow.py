@@ -185,44 +185,20 @@ def _edges(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
-def bin_cycles(
-    cycles: CycleSet,
-    n_mean: int = 32,
-    n_amp: int = 32,
-    mean_range: tuple[float, float] | None = None,
-    amp_range: tuple[float, float] | None = None,
-    auto_expand: bool = True,
-) -> RainflowMatrix:
+def bin_cycles(cycles: CycleSet, n_mean: int = 32, n_amp: int = 32) -> RainflowMatrix:
     """Aggregate a cycle set into a rainflow matrix.
 
-    Ranges default to the observed min/max per axis. With fixed ranges and
-    auto_expand disabled, cycles falling outside raise a ValueError; total
-    weight is conserved exactly otherwise.
+    The bins span the observed min/max per axis, so total weight is
+    conserved exactly.
     """
     if n_mean < 1 or n_amp < 1:
         raise ValueError("bin counts must be >= 1")
     m, a, w = cycles.mean, cycles.amplitude, cycles.weight
     if len(cycles) == 0:
-        me = _edges(*(mean_range or (0.0, 0.0)), n_mean)
-        ae = _edges(*(amp_range or (0.0, 0.0)), n_amp)
-        return RainflowMatrix(me, ae, np.zeros((n_mean, n_amp)))
-
-    def resolve(rng, data, n):
-        if rng is None:
-            lo, hi = float(data.min()), float(data.max())
-        else:
-            lo, hi = float(rng[0]), float(rng[1])
-            if lo > hi:
-                raise ValueError(f"degenerate bin range ({lo}, {hi})")
-            out = (data < lo) | (data > hi)
-            if np.any(out):
-                if not auto_expand:
-                    raise ValueError("cycle outside the fixed bin ranges (auto_expand disabled)")
-                lo, hi = min(lo, float(data.min())), max(hi, float(data.max()))
-        return _edges(lo, hi, n)
-
-    me = resolve(mean_range, m, n_mean)
-    ae = resolve(amp_range, a, n_amp)
+        return RainflowMatrix(_edges(0.0, 0.0, n_mean), _edges(0.0, 0.0, n_amp),
+                              np.zeros((n_mean, n_amp)))
+    me = _edges(float(m.min()), float(m.max()), n_mean)
+    ae = _edges(float(a.min()), float(a.max()), n_amp)
     im = np.clip(np.searchsorted(me, m, side="right") - 1, 0, n_mean - 1)
     ia = np.clip(np.searchsorted(ae, a, side="right") - 1, 0, n_amp - 1)
     counts = np.zeros((n_mean, n_amp))

@@ -10,7 +10,6 @@ that plane stress state (sigma_yy = 0 at the free surface).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,14 +116,6 @@ def stresses_from_curvature(
     return StressHistory(times=np.asarray(times, dtype=float), sigma_xx=sxx, sigma_xy=sxy)
 
 
-def cutting_plane_stress(sigma_xx, sigma_yy, sigma_xy, phi: float):
-    """Normal/shear components (sigma_nn, sigma_nm) on the plane at angle phi."""
-    s, c = np.sin(2.0 * phi), np.cos(2.0 * phi)
-    half_sum = 0.5 * (np.asarray(sigma_xx) + np.asarray(sigma_yy))
-    half_diff = 0.5 * (np.asarray(sigma_xx) - np.asarray(sigma_yy))
-    return half_sum + half_diff * c + sigma_xy * s, -half_diff * s + sigma_xy * c
-
-
 def tau_phi(history: StressHistory, phi: float) -> np.ndarray:
     """Shear stress history on the cutting plane at angle phi (sigma_yy = 0)."""
     return -0.5 * history.sigma_xx * np.sin(2.0 * phi) + history.sigma_xy * np.cos(2.0 * phi)
@@ -137,14 +128,10 @@ def tresca_history(history: StressHistory, phi: float) -> np.ndarray:
 
 def write_stress_csv(path, history: StressHistory) -> None:
     with open(path, "w", newline="") as fh:
-        _write_stress(fh, history)
-
-
-def _write_stress(fh: io.TextIOBase, history: StressHistory) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t", "sigma_xx", "sigma_xy"])
-    for t, sxx, sxy in zip(history.times, history.sigma_xx, history.sigma_xy):
-        writer.writerow([f"{t:.17g}", f"{sxx:.17g}", f"{sxy:.17g}"])
+        writer = csv.writer(fh)
+        writer.writerow(["t", "sigma_xx", "sigma_xy"])
+        for t, sxx, sxy in zip(history.times, history.sigma_xx, history.sigma_xy):
+            writer.writerow([f"{t:.17g}", f"{sxx:.17g}", f"{sxy:.17g}"])
 
 
 def read_stress_csv(path) -> StressHistory:

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from flexlife import beam
+from flexlife.dynamics import _BeamData
 
 
 @pytest.fixture
@@ -155,44 +156,41 @@ class TestStiffnessMatrix:
 
 
 class TestElementInertia:
+    """Distributed inertia of a link as the dynamics model integrates it."""
+
     def test_distributed_mass(self, spec):
-        dm, dJ = beam.element_inertia(spec, 0.3)
-        assert dm == pytest.approx(7850.0 * 496e-6, rel=1e-12)
-        assert np.all(np.diag(dJ) > 0.0)
+        data = _BeamData(spec, beam.shape_basis(spec))
         sec = spec.section
+        assert data.mb == pytest.approx(7850.0 * 496e-6 * spec.L, rel=1e-12)
         np.testing.assert_allclose(
-            np.diag(dJ), 7850.0 * np.array([sec.I_D, sec.I_y, sec.I_z]), rtol=1e-14
+            np.diag(data.D), 7850.0 * np.array([sec.I_D, sec.I_y, sec.I_z]), rtol=1e-14
         )
 
     def test_total_mass_is_rho_A_L(self, spec):
+        # the quadrature the inertia integrals use recovers the closed-form mass
         xi, w = beam.quadrature(spec)
-        dm = beam.element_inertia(spec, 0.0)[0]
-        assert dm * w.sum() == pytest.approx(
-            spec.material.rho * spec.section.A_B * spec.L, rel=1e-13
-        )
-
-    def test_out_of_range(self, spec):
-        with pytest.raises(ValueError):
-            beam.element_inertia(spec, -0.1)
-        with pytest.raises(ValueError):
-            beam.element_inertia(spec, spec.L + 0.1)
+        assert np.all((xi > 0.0) & (xi < spec.L))
+        rho_a = spec.material.rho * spec.section.A_B
+        mass = _BeamData(spec, beam.shape_basis(spec)).mb
+        assert rho_a * w.sum() == pytest.approx(mass, rel=1e-13)
 
 
 class TestCurvature:
     def test_zero_coordinates(self, spec):
-        k = beam.curvature_at(spec, 0.0, np.zeros(spec.n_elastic))
-        assert k.as_array().tolist() == [0.0, 0.0, 0.0]
+        k = beam.curvature_map(spec, 0.0) @ np.zeros(spec.n_elastic)
+        assert k.tolist() == [0.0, 0.0, 0.0]
 
     def test_linearity(self, spec):
         rng = np.random.default_rng(3)
         q = rng.normal(size=spec.n_elastic)
-        k1 = beam.curvature_at(spec, 0.2, q).as_array()
-        k2 = beam.curvature_at(spec, 0.2, 2.0 * q).as_array()
-        np.testing.assert_allclose(k2, 2.0 * k1, rtol=1e-14)
+        C = beam.curvature_map(spec, 0.2)
+        np.testing.assert_allclose(C @ (2.0 * q), 2.0 * (C @ q), rtol=1e-14)
 
     def test_dimension_mismatch(self, spec):
+        C = beam.curvature_map(spec, 0.0)
+        assert C.shape == (3, spec.n_elastic)
         with pytest.raises(ValueError):
-            beam.curvature_at(spec, 0.0, np.zeros(spec.n_elastic + 1))
+            C @ np.zeros(spec.n_elastic + 1)
 
     def test_static_tip_load_root_curvature(self, steel):
         # solve K q = Q for a tip force; root curvature approaches F L / EI

@@ -81,6 +81,42 @@ class TestConfigValidation:
         assert result.exit_code == 2
         assert "q_pick" in result.output
 
+    def test_xi_crit_outside_span_exit_2(self, runner, tmp_path):
+        raw = json.loads(DEMO_CONFIG.read_text())
+        raw["robot"]["links"][0]["xi_crit"] = 5.0  # link 1 is 0.6 m long
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["simulate", "--config", str(p)])
+        assert result.exit_code == 2
+        assert "xi_crit" in result.output
+        assert "Traceback" not in result.output
+
+
+NONPOSITIVE_OPTIONS = [
+    ("fatigue", "--angles"),
+    ("fatigue", "--mean-bins"),
+    ("fatigue", "--amp-bins"),
+    ("rainflow", "--mean-bins"),
+    ("rainflow", "--amp-bins"),
+]
+
+
+@pytest.mark.parametrize("command,option", NONPOSITIVE_OPTIONS)
+def test_count_option_below_one_exit_2(runner, tmp_path, command, option):
+    if command == "fatigue":
+        data = tmp_path / "stress.csv"
+        data.write_text("t,sigma_xx,sigma_xy\n0.0,1e7,0.0\n0.1,-1e7,0.0\n")
+        args = [str(data), str(Path(DEMO_CONFIG).parent / "fatigue_material.json")]
+    else:
+        data = tmp_path / "series.csv"
+        data.write_text("t,sigma\n0,1.0\n1,-1.0\n2,2.0\n")
+        args = [str(data)]
+    result = runner.invoke(main, [command, *args, option, "0", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert option in result.output
+
 
 class TestSimulateCommand:
     def test_writes_history_and_stress(self, runner, tmp_path):

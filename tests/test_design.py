@@ -243,6 +243,18 @@ class TestRunSweep:
                 short_plan.t_task, rel=1e-12
             )
 
+    def test_programming_error_propagates(
+        self, small_design, short_plan, sweep_settings, monkeypatch
+    ):
+        # only numerical failures are recorded per candidate; a bug is not
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the simulation code")
+
+        monkeypatch.setattr(dsg, "simulate", broken)
+        grid = dsg.CandidateGrid(t1_values=(4 * MM,), t2_values=(4 * MM,))
+        with pytest.raises(TypeError, match="bug in the simulation code"):
+            dsg.run_sweep(grid, small_design, short_plan, sweep_settings)
+
     def test_only_pareto_fatigue_skips_dominated(self, small_design, short_plan, sweep_settings):
         grid = dsg.CandidateGrid(t1_values=(1 * MM, 4 * MM), t2_values=(4 * MM,))
         settings = dataclasses.replace(sweep_settings, only_pareto_fatigue=True)

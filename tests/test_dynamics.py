@@ -37,8 +37,7 @@ class TestAssembly:
     def test_velocity_forces_vanish_at_rest(self, small_design, model):
         rng = np.random.default_rng(1)
         q = rng.normal(0.0, 0.5, model.n)
-        state = dyn.GeneralizedState(q=q, qd=np.zeros(model.n))
-        _, gyro, _ = dyn.assemble_eom(model, state)
+        _, gyro = dyn.eom(model, q, np.zeros(model.n))
         np.testing.assert_allclose(gyro, 0.0, atol=1e-15)
 
     def test_gravity_off_aligned_gears_zero_gradient(self, small_design):
@@ -46,9 +45,7 @@ class TestAssembly:
         model = dyn.RobotModel(design)
         q = np.zeros(model.n)
         q[:3] = q[3:6] = [0.7, -0.3, 1.1]
-        state = dyn.GeneralizedState(q=q, qd=np.zeros(model.n))
-        _, _, g = dyn.assemble_eom(model, state)
-        np.testing.assert_allclose(g, 0.0, atol=1e-12)
+        np.testing.assert_allclose(model.potential_grad(q), 0.0, atol=1e-12)
 
     def test_gear_spring_terms(self, small_design):
         design = gravity_off(small_design)
@@ -103,7 +100,7 @@ class TestAssembly:
         Qd = rng.normal(0.0, 2.0, (5, model.n))
         M, h = dyn.eom(model, Q, Qd)
         for k in range(5):
-            M_k, h_k, _ = dyn.assemble_eom(model, dyn.GeneralizedState(Q[k], Qd[k]))
+            M_k, h_k = dyn.eom(model, Q[k], Qd[k])
             np.testing.assert_array_equal(M[k], M_k)
             np.testing.assert_allclose(h[k], h_k, rtol=0.0, atol=1e-12 * np.abs(h_k).max())
 
@@ -121,7 +118,7 @@ class TestAssembly:
     def test_dimension_mismatch_rejected(self, model):
         state = dyn.GeneralizedState(q=np.zeros(model.n + 1), qd=np.zeros(model.n + 1))
         with pytest.raises(ValueError):
-            dyn.assemble_eom(model, state)
+            dyn.energy(model, state)
 
     def test_kinetic_energy_matches_position_level_oracle(self, small_design, model):
         """Independent route to T: compose the deformed positions and
@@ -213,6 +210,56 @@ class TestAssembly:
             qd = rng.normal(0.0, 1.5, model.n)
             t_model = 0.5 * qd @ model.mass_matrix(q) @ qd
             assert t_model == pytest.approx(kinetic_oracle(q, qd), rel=1e-9)
+
+
+def roty(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rotz(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+class TestKinematics:
+    """End-effector deviation, the signal behind the vibration criterion."""
+
+    def test_zero_elastic_coordinates_zero_deviation(self, model):
+        rng = np.random.default_rng(21)
+        Q = np.zeros((20, model.n))
+        Q[:, :6] = rng.uniform(-4.0, 4.0, (20, 6))
+        np.testing.assert_allclose(model.ee_deviation(Q), 0.0, atol=1e-15)
+
+    def test_link2_deflection_rotates_with_the_arm(self, model):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            q = np.zeros(model.n)
+            q[:6] = rng.uniform(-4.0, 4.0, 6)
+            qe2 = rng.normal(0.0, 1e-3, model.m2)
+            q[model.sl2] = qe2
+            A2 = roty(q[4]) @ roty(q[5])
+            expected = rotz(q[3]) @ A2 @ model.beam2.PhiL @ qe2
+            np.testing.assert_allclose(
+                model.ee_deviation(q), expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+            )
+
+    def test_batch_matches_single_states(self, model):
+        rng = np.random.default_rng(23)
+        Q = rng.normal(0.0, 1.0, (8, model.n))
+        Q[:, 6:] *= 1e-3
+        batch = model.ee_deviation(Q)
+        for q, dev in zip(Q, batch):
+            np.testing.assert_allclose(dev, model.ee_deviation(q), rtol=0.0, atol=1e-15)
+
+
+class TestLinkParams:
+    def test_xi_crit_outside_span_rejected(self):
+        dyn.LinkParams(length=0.6, wall_thickness=0.004, xi_crit=0.6)  # tip is allowed
+        with pytest.raises(ValueError, match="xi_crit"):
+            dyn.LinkParams(length=0.6, wall_thickness=0.004, xi_crit=-0.1)
+        with pytest.raises(ValueError, match="xi_crit"):
+            dyn.LinkParams(length=0.6, wall_thickness=0.004, xi_crit=0.7)
 
 
 class TestEnergy:

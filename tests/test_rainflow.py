@@ -192,11 +192,6 @@ class TestBinning:
             matrix = bin_cycles(cycles, 8, 6)
             assert abs(matrix.total - cycles.total_weight) < 1e-12
 
-    def test_fixed_range_without_expansion_rejects_outliers(self):
-        cycles = CycleSet(mean=np.array([5.0]), amplitude=np.array([2.0]), weight=np.array([1.0]))
-        with pytest.raises(ValueError):
-            bin_cycles(cycles, 4, 4, mean_range=(0.0, 1.0), auto_expand=False)
-
     def test_empty_cycles_empty_matrix(self):
         cycles = CycleSet(mean=np.array([]), amplitude=np.array([]), weight=np.array([]))
         matrix = bin_cycles(cycles, 4, 4)

@@ -80,23 +80,27 @@ class TestStressesFromCurvature:
 
 
 class TestCuttingPlane:
+    """Shear on the cutting plane phi for the plane stress state at the
+    free surface (sigma_yy = 0), the only component the lifetime uses."""
+
+    @staticmethod
+    def shear(sxx, sxy, phi):
+        state = st.StressHistory(np.array([0.0]), np.array([sxx]), np.array([sxy]))
+        return st.tau_phi(state, phi)[0]
+
     def test_identity_plane(self):
-        nn, nm = st.cutting_plane_stress(10.0 * MPA, 2.0 * MPA, 3.0 * MPA, 0.0)
-        assert nn == pytest.approx(10.0 * MPA)
-        assert nm == pytest.approx(3.0 * MPA)
+        assert self.shear(10.0 * MPA, 3.0 * MPA, 0.0) == pytest.approx(3.0 * MPA)
 
     def test_mohr_circle_45_degrees(self):
-        nn, nm = st.cutting_plane_stress(10.0 * MPA, 0.0, 0.0, np.pi / 4.0)
-        assert nn == pytest.approx(5.0 * MPA)
-        assert nm == pytest.approx(-5.0 * MPA)
+        assert self.shear(10.0 * MPA, 0.0, np.pi / 4.0) == pytest.approx(-5.0 * MPA)
 
-    def test_trace_invariance(self):
+    def test_perpendicular_planes_opposite_shear(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            sxx, syy, sxy, phi = rng.normal(size=4)
-            nn1, _ = st.cutting_plane_stress(sxx, syy, sxy, phi)
-            nn2, _ = st.cutting_plane_stress(sxx, syy, sxy, phi + np.pi / 2.0)
-            assert nn1 + nn2 == pytest.approx(sxx + syy, abs=1e-12)
+            sxx, sxy, phi = rng.normal(size=3)
+            tau1 = self.shear(sxx, sxy, phi)
+            tau2 = self.shear(sxx, sxy, phi + np.pi / 2.0)
+            assert tau1 + tau2 == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTauPhi:
