@@ -52,6 +52,14 @@ def _number(obj: dict, key: str, ctx: str, *, positive=False, nonneg=False, defa
     return float(value)
 
 
+def _count(obj: dict, key: str, ctx: str, *, default: int) -> int:
+    """An integral number >= 1; 73 and 73.0 load, 0.5 or 2.9 do not."""
+    value = _number(obj, key, ctx, default=default)
+    if value < 1 or not value.is_integer():
+        raise ConfigError(f"{ctx}.{key}: expected an integer >= 1, got {obj[key]!r}")
+    return int(value)
+
+
 def _vector(obj: dict, key: str, n: int, ctx: str, *, positive=False) -> tuple[float, ...]:
     if key not in obj:
         raise ConfigError(f"{ctx}: missing required key '{key}'")
@@ -314,9 +322,9 @@ def _build_config(raw: dict) -> RunConfig:
         "fatigue",
     )
     fatigue_material = parse_fatigue_material(fat_obj["material"])
-    n_angles = int(_number(fat_obj, "n_angles", "fatigue", positive=True, default=73))
-    n_mean = int(_number(fat_obj, "n_mean_bins", "fatigue", positive=True, default=32))
-    n_amp = int(_number(fat_obj, "n_amp_bins", "fatigue", positive=True, default=32))
+    n_angles = _count(fat_obj, "n_angles", "fatigue", default=73)
+    n_mean = _count(fat_obj, "n_mean_bins", "fatigue", default=32)
+    n_amp = _count(fat_obj, "n_amp_bins", "fatigue", default=32)
 
     sw = raw["sweep"]
     _check_keys(
@@ -334,7 +342,7 @@ def _build_config(raw: dict) -> RunConfig:
         t2_values=tuple(float(t) for t in sw["t2_values"]),
     )
     reference = _vector(sw, "reference", 2, "sweep", positive=True)
-    jobs = int(_number(sw, "jobs", "sweep", positive=True, default=1))
+    jobs = _count(sw, "jobs", "sweep", default=1)
 
     return RunConfig(
         design=design,

@@ -30,11 +30,11 @@ along the rotation axis, so nothing is lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 from .beam import BeamSpec, Material, RitzBasis, quadrature, section_properties, shape_basis
 from .beam import curvature_map, stiffness_matrix
@@ -184,17 +184,6 @@ def _roty(q: np.ndarray) -> np.ndarray:
     R[..., 1, 1] = 1.0
     R[..., 2, 0] = -s
     R[..., 2, 2] = c
-    return R
-
-
-def _droty(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q)
-    c, s = np.cos(q), np.sin(q)
-    R = np.zeros(q.shape + (3, 3), dtype=c.dtype)
-    R[..., 0, 0] = -s
-    R[..., 0, 2] = c
-    R[..., 2, 0] = -c
-    R[..., 2, 2] = -s
     return R
 
 
@@ -436,32 +425,36 @@ class RobotModel:
         return float(v_grav) + v_elastic + v_gear
 
     def potential_grad(self, q: np.ndarray) -> np.ndarray:
-        """Analytic gradient of :meth:`potential` (the vector g)."""
-        qM, qL = q[:3], q[3:6]
-        qe1, qe2 = q[self.sl1], q[self.sl2]
+        """Analytic gradient of :meth:`potential` (the vector g); q may be a
+        batch (..., n)."""
+        q = np.asarray(q, dtype=float)
+        qL = q[..., 3:6]
         R2, R3, S1, A2, r1, _, h1, u2 = self._tip_frames(q)
         c = -self.gravity
-        g = np.zeros(self.n)
-        # shoulder / elbow gravity torques
-        local = h1 + self._m_tip * r1 + S1 @ (R3 @ u2)
-        g[4] = c @ (_droty(qL[1]) @ local)
-        g[5] = c @ (R2 @ S1 @ _droty(qL[2]) @ u2)
-        # elastic gravity coupling
-        cR2 = R2.T @ c
-        w = R3 @ u2
-        g[self.sl1] = (
-            self.beam1.P0.T @ cR2
-            + self._m_tip * (self.beam1.PhiL.T @ cR2)
-            + self.beam1.PsiL.T @ np.cross(w, cR2)
-        )
-        g[self.sl2] = (self.beam2.P0 + self.design.payload_mass * self.beam2.PhiL).T @ (A2.T @ c)
-        # elastic restoring (enters g; the reaction force is -K q_e)
-        g[self.sl1] += self.beam1.K @ qe1
-        g[self.sl2] += self.beam2.K @ qe2
+        g = np.empty(q.shape)
         # gear springs
-        tau_g = self.k_gear * (qM - qL)
-        g[:3] += tau_g
-        g[3:6] -= tau_g
+        tau_g = self.k_gear * (q[..., :3] - qL)
+        g[..., :3] = tau_g
+        g[..., 3:6] = -tau_g
+        # shoulder / elbow gravity torques: dR_y(q)/dq = R_y(q) [e_y]x, so
+        # each torque is the gravity row c^T R2 (c^T A2 for the elbow) dotted
+        # with e_y x m = (m_z, 0, -m_x) for the first moment m it rotates
+        cR2 = c @ R2
+        cA2 = c @ A2
+        w = (R3 @ u2[..., None])[..., 0]
+        local = h1 + self._m_tip * r1 + (S1 @ w[..., None])[..., 0]
+        g[..., 4] += cR2[..., 0] * local[..., 2] - cR2[..., 2] * local[..., 0]
+        g[..., 5] += cA2[..., 0] * u2[..., 2] - cA2[..., 2] * u2[..., 0]
+        # elastic gravity coupling plus the elastic restoring force
+        # (enters g; the reaction force is -K q_e)
+        g[..., self.sl1] = (
+            cR2 @ (self.beam1.P0 + self._m_tip * self.beam1.PhiL)
+            + (_skew(w) @ cR2[..., None])[..., 0] @ self.beam1.PsiL
+            + q[..., self.sl1] @ self.beam1.K
+        )
+        g[..., self.sl2] = cA2 @ (
+            self.beam2.P0 + self.design.payload_mass * self.beam2.PhiL
+        ) + q[..., self.sl2] @ self.beam2.K
         return g
 
     # ----- kinematics of the end effector ------------------------------
@@ -603,6 +596,9 @@ class SimulationResult:
     tau: np.ndarray  # (T, 3) motor torques
     t_task: float
     t_settle: float
+    # solver counts nfev, njev, nlu and steps; a run record, never written
+    # to the output files
+    stats: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
@@ -613,14 +609,12 @@ class SimulationResult:
 
 def _free_jacobian(model: RobotModel, q: np.ndarray, g_free: np.ndarray, h: float) -> np.ndarray:
     """Forward-difference Jacobian, with step h, of the potential gradient
-    over the free coordinates (q_L, q_e) at q, where it equals g_free."""
+    over the free coordinates (q_L, q_e) at q, where it equals g_free; one
+    batched gradient call over the perturbed states."""
     n_free = model.n - 3
-    jac = np.empty((n_free, n_free))
-    for k in range(n_free):
-        qp = q.copy()
-        qp[3 + k] += h
-        jac[:, k] = (model.potential_grad(qp)[3:] - g_free) / h
-    return jac
+    Q = np.repeat(q[None, :], n_free, axis=0)
+    Q[:, 3:] += h * np.eye(n_free)
+    return ((model.potential_grad(Q)[:, 3:] - g_free) / h).T
 
 
 def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> np.ndarray:
@@ -678,7 +672,7 @@ def _feedforward_table(
     S[3:6] = np.eye(3)
     q_full = qdes @ S.T
     M, gyro = eom(model, q_full, qddes @ S.T)
-    g = np.array([model.potential_grad(q) for q in q_full])
+    g = model.potential_grad(q_full)
     tau = ((M @ (qdddes @ S.T)[..., None])[..., 0] + gyro + g) @ S
     return ts, tau
 
@@ -729,44 +723,44 @@ def simulate(
         y0[2 * n :] = x0
 
     override = settings.torque_override
+    beta1, beta2 = design.links[0].damping_beta, design.links[1].damping_beta
 
     def rhs(t, y):
-        q = y[:n]
-        qd = y[n : 2 * n]
+        # y is one state (N,) or, for the solver's Jacobian, a batch (N, k);
+        # Y holds one state per row
+        Y = y.T
+        q = Y[..., :n]
+        qd = Y[..., n : 2 * n]
         M, gyro = eom(model, q, qd)
-        g = model.potential_grad(q)
-        Q = np.zeros(n)
-        damp = model.d_gear * (qd[:3] - qd[3:6])
-        Q[:3] -= damp
-        Q[3:6] += damp
-        beta1, beta2 = design.links[0].damping_beta, design.links[1].damping_beta
+        force = -gyro - model.potential_grad(q)
+        damp = model.d_gear * (qd[..., :3] - qd[..., 3:6])
+        force[..., :3] -= damp
+        force[..., 3:6] += damp
         if beta1:
-            Q[model.sl1] -= beta1 * (model.beam1.K @ qd[model.sl1])
+            force[..., model.sl1] -= beta1 * (qd[..., model.sl1] @ model.beam1.K)
         if beta2:
-            Q[model.sl2] -= beta2 * (model.beam2.K @ qd[model.sl2])
-        dint = None
+            force[..., model.sl2] -= beta2 * (qd[..., model.sl2] @ model.beam2.K)
+        out = np.empty_like(Y)
         if controlled:
             q_des, qd_des, _ = plan.sample(t)
             ff = None
             if tau_ff_t is not None:
                 ff = np.array([np.interp(t, tau_ff_t, tau_ff_v[:, i]) for i in range(3)])
             tau, e_v = controller(
-                settings.gains, q[:3], qd[:3], q_des, qd_des, y[2 * n :], ff, model.tau_limit
+                settings.gains, q[..., :3], qd[..., :3], q_des, qd_des, Y[..., 2 * n :], ff,
+                model.tau_limit,
             )
-            Q[:3] += tau
-            dint = e_v
+            force[..., :3] += tau
+            out[..., 2 * n :] = e_v
         elif override is not None:
-            Q[:3] += override(t)
+            force[..., :3] += override(t)
         try:
-            qdd = cho_solve(cho_factor(M), Q - gyro - g)
-        except LinAlgError as exc:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
             raise SimulationError(f"mass matrix not positive definite at t={t:.6f}", t) from exc
-        out = np.empty_like(y)
-        out[:n] = qd
-        out[n : 2 * n] = qdd
-        if n_int:
-            out[2 * n :] = dint
-        return out
+        out[..., :n] = qd
+        out[..., n : 2 * n] = np.linalg.solve(M, force[..., None])[..., 0]
+        return out.T
 
     sol = solve_ivp(
         rhs,
@@ -776,6 +770,7 @@ def simulate(
         rtol=settings.rtol,
         atol=settings.atol,
         dense_output=True,
+        vectorized=True,
     )
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else 0.0
@@ -824,4 +819,10 @@ def simulate(
         tau=tau_hist,
         t_task=plan.t_task,
         t_settle=t_settle,
+        stats={
+            "nfev": int(sol.nfev),
+            "njev": int(sol.njev),
+            "nlu": int(sol.nlu),
+            "steps": int(sol.t.size - 1),
+        },
     )

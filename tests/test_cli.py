@@ -235,3 +235,30 @@ class TestSweepCommand:
         cfg = fast_config(tmp_path, **{"sweep.t1_values": []})
         result = runner.invoke(main, ["sweep", "--config", str(cfg)])
         assert result.exit_code == 2
+
+
+COUNT_KEYS = ["fatigue.n_angles", "fatigue.n_mean_bins", "fatigue.n_amp_bins", "sweep.jobs"]
+
+
+@pytest.mark.parametrize("key", COUNT_KEYS)
+@pytest.mark.parametrize("value", [0.5, 2.9, 0])
+class TestCountKeys:
+    """Count settings must be integral and >= 1; int() used to truncate
+    0.5 to 0 and 2.9 to 2 without a word."""
+
+    def test_load_config_rejects(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(fast_config(tmp_path, **{key: value}))
+
+    def test_cli_exit_2(self, runner, tmp_path, key, value):
+        cfg = fast_config(tmp_path, **{key: value})
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert key in result.output
+        assert "Traceback" not in result.output
+
+
+def test_integral_float_counts_load(tmp_path):
+    cfg = load_config(fast_config(tmp_path, **{"fatigue.n_angles": 73.0, "sweep.jobs": 2.0}))
+    assert cfg.n_angles == 73 and isinstance(cfg.n_angles, int)
+    assert cfg.jobs == 2 and isinstance(cfg.jobs, int)

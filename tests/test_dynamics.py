@@ -402,6 +402,8 @@ class TestSimulate:
         assert res.kappa1.shape == (res.times.size, 3)
         assert res.tau.shape == (res.times.size, 3)
         assert res.times[-1] == pytest.approx(short_plan.t_task + fast_sim.t_settle, abs=2e-3)
+        assert set(res.stats) == {"nfev", "njev", "nlu", "steps"}
+        assert all(isinstance(v, int) and v > 0 for v in res.stats.values())
 
     def test_tracking_reaches_target(self, small_design, demo_gains, short_plan, fast_sim):
         res = dyn.simulate(small_design, short_plan, fast_sim)
@@ -464,7 +466,7 @@ class TestSimulate:
 
     def test_linearized_periods_without_modes_raises(self, small_design):
         model = dyn.RobotModel(small_design)
-        model.potential_grad = lambda q: np.zeros(model.n)  # no stiffness at all
+        model.potential_grad = lambda q: np.zeros(np.shape(q))  # no stiffness at all
         with pytest.raises(dyn.SimulationError, match="no vibration mode"):
             dyn.linearized_periods(model, np.zeros(model.n))
 
@@ -506,3 +508,106 @@ class TestSimulate:
         periods = dyn.linearized_periods(model, q)
         assert np.all(periods > 0.0)
         assert periods.size == model.n - 3
+
+
+def demo_modes(design):
+    """The demo discretisation: two bending modes per plane and one
+    torsion mode on each link."""
+    links = tuple(dataclasses.replace(l, n_v=2, n_w=2, n_theta=1) for l in design.links)
+    return dataclasses.replace(design, links=links)
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_rhs(design, plan, settings, monkeypatch):
+    """The right-hand side simulate hands to the solver, and its y0."""
+    seen = {}
+
+    def capture(fun, t_span, y0, **kwargs):
+        seen.update(fun=fun, y0=y0, kwargs=kwargs)
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "solve_ivp", capture)
+        with pytest.raises(_Captured):
+            dyn.simulate(design, plan, settings)
+    assert seen["kwargs"]["vectorized"] is True
+    return seen["fun"], seen["y0"]
+
+
+def indefinite_mass(monkeypatch):
+    real = dyn.RobotModel.mass_gradients
+
+    def negated(self, q):
+        M, dM2, dM3 = real(self, q)
+        return -M, dM2, dM3
+
+    monkeypatch.setattr(dyn.RobotModel, "mass_gradients", negated)
+
+
+class TestBatchedPaths:
+    """Differential tests of the batched fast paths against per-state calls.
+    Tolerance: 1e-13 of each state's largest entry (measured: identical
+    bits, except potential_grad on the demo modes at 3e-21 relative)."""
+
+    @pytest.mark.parametrize("modes", ["small", "demo"])
+    def test_potential_grad_batch_matches_single_states(self, small_design, modes):
+        design = small_design if modes == "small" else demo_modes(small_design)
+        model = dyn.RobotModel(design)
+        rng = np.random.default_rng(31)
+        Q = rng.normal(0.0, 1.0, (24, model.n))
+        Q[:, 6:] *= 1e-3
+        batch = model.potential_grad(Q)
+        assert batch.shape == Q.shape
+        for q, g in zip(Q, batch):
+            g_k = model.potential_grad(q)
+            np.testing.assert_allclose(g, g_k, rtol=0.0, atol=1e-13 * np.abs(g_k).max())
+
+    @pytest.mark.parametrize("h", [1e-7, 1e-6])
+    def test_free_jacobian_matches_per_column_loop(self, small_design, h):
+        model = dyn.RobotModel(demo_modes(small_design))
+        q = dyn.static_equilibrium(model, np.array([0.2, 0.6, -1.0]))
+        g_free = model.potential_grad(q)[3:]
+        loop = np.empty((model.n - 3, model.n - 3))
+        for k in range(model.n - 3):
+            qp = q.copy()
+            qp[3 + k] += h
+            loop[:, k] = (model.potential_grad(qp)[3:] - g_free) / h
+        jac = dyn._free_jacobian(model, q, g_free, h)
+        np.testing.assert_allclose(jac, loop, rtol=0.0, atol=1e-13 * np.abs(loop).max())
+
+    @pytest.mark.parametrize("modes", ["small", "demo"])
+    def test_rhs_columns_match_one_column_calls(
+        self, small_design, short_plan, fast_sim, modes, monkeypatch
+    ):
+        design = small_design if modes == "small" else demo_modes(small_design)
+        rhs, y0 = captured_rhs(design, short_plan, fast_sim, monkeypatch)
+        rng = np.random.default_rng(32)
+        Y = y0[:, None] + rng.normal(0.0, 1e-2, (y0.size, 35))
+        batch = rhs(0.05, Y)
+        assert batch.shape == Y.shape
+        for k in range(Y.shape[1]):
+            col = rhs(0.05, Y[:, [k]])[:, 0]
+            tol = 1e-13 * np.abs(col).max()
+            np.testing.assert_allclose(batch[:, k], col, rtol=0.0, atol=tol)
+            np.testing.assert_allclose(rhs(0.05, Y[:, k]), col, rtol=0.0, atol=tol)
+
+
+class TestMassMatrixGuard:
+    def test_simulate_raises_simulation_error(self, small_design, short_plan, fast_sim,
+                                              monkeypatch):
+        indefinite_mass(monkeypatch)
+        with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
+            dyn.simulate(small_design, short_plan, fast_sim)
+        assert info.value.t_failure is not None
+
+    def test_batched_call_raises_simulation_error(self, small_design, short_plan, fast_sim,
+                                                  monkeypatch):
+        rhs, y0 = captured_rhs(small_design, short_plan, fast_sim, monkeypatch)
+        indefinite_mass(monkeypatch)
+        Y = np.repeat(y0[:, None], 35, axis=1)
+        with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
+            rhs(0.25, Y)
+        assert info.value.t_failure == 0.25

@@ -28,3 +28,24 @@ def test_tracer_installs_every_boundary_and_restores_it():
         tracer.uninstall()
     for (owner, attr, _), original in zip(tracing.BOUNDARIES, originals):
         assert owner.__dict__[attr] is original, attr
+
+
+def test_vectorised_rhs_makes_at_most_two_calls_per_jacobian(small_design, short_plan, fast_sim):
+    """Each finite-difference Jacobian evaluates all its columns in one
+    batched RHS call, plus at most one call for the columns it retries, so
+    the traced RHS calls stay within nfev + 2 njev; a per-state RHS pays
+    one call per column."""
+    from flexlife import dynamics
+
+    tracing = load_tracing()
+    originals = [owner.__dict__[attr] for owner, attr, _ in tracing.BOUNDARIES]
+    solver = dynamics.solve_ivp
+    with tracing.Tracer() as tracer:
+        dynamics.simulate(small_design, short_plan, fast_sim)
+    counts = tracer.counts
+    assert counts["dynamics.njev"] > 0
+    rhs_calls = tracer.summary()["dynamics.rhs"]["calls"]
+    assert rhs_calls <= counts["dynamics.nfev"] + 2 * counts["dynamics.njev"]
+    assert dynamics.solve_ivp is solver
+    for (owner, attr, _), original in zip(tracing.BOUNDARIES, originals):
+        assert owner.__dict__[attr] is original, attr
