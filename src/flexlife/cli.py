@@ -118,7 +118,7 @@ def _report_dict(report: fat.DamageReport) -> dict:
 @click.option("--angles", type=click.IntRange(min=1), default=73, show_default=True)
 @click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
-@click.option("--gate", type=float, default=0.0, show_default=True,
+@click.option("--gate", type=click.FloatRange(min=0.0), default=0.0, show_default=True,
               help="Hysteresis gate in Pa.")
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, gate, out_dir):
@@ -151,7 +151,7 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
 @click.argument("series_csv", type=click.Path(exists=True))
 @click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
-@click.option("--gate", type=float, default=0.0, show_default=True)
+@click.option("--gate", type=click.FloatRange(min=0.0), default=0.0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
     """Rainflow matrix of a scalar stress history CSV (columns t, sigma)."""
@@ -247,10 +247,12 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out-dir", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=None, help="Worker processes (default from config).")
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
+              help="Worker processes (default from config).")
 @click.option("--only-pareto-fatigue", is_flag=True, default=False,
               help="Run the fatigue stage only for Pareto-front candidates.")
-@click.option("--plot-cap-hours", type=float, default=3500.0, show_default=True,
+@click.option("--plot-cap-hours", type=click.FloatRange(min=0.0, min_open=True), default=3500.0,
+              show_default=True,
               help="Display ceiling for infinite lifetimes in plot CSV.")
 def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
     """Evaluate the full thickness grid and extract the Pareto front."""

@@ -95,17 +95,12 @@ def mass_criterion(design: RobotDesign, reference: RobotDesign) -> float:
     return beam_mass(design) / beam_mass(reference) - 1.0
 
 
-def vibration_criterion(
-    result: SimulationResult, window: tuple[float, float] | None = None
-) -> float:
-    """Largest end-effector deviation norm during the observation window
-    (default: the post-motion settling phase)."""
-    if window is None:
-        window = (result.t_task, result.times[-1])
-    lo, hi = window
-    mask = (result.times >= lo) & (result.times <= hi)
+def vibration_criterion(result: SimulationResult) -> float:
+    """Largest end-effector deviation norm during the post-motion settling
+    phase, from t_task to the last sample."""
+    mask = result.times >= result.t_task
     if not np.any(mask):
-        raise ValueError(f"observation window ({lo}, {hi}) contains no samples")
+        raise ValueError(f"no samples at or after t_task = {result.t_task}")
     return float(np.linalg.norm(result.dr_ee[mask], axis=1).max())
 
 

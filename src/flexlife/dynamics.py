@@ -459,22 +459,21 @@ class RobotModel:
 
     # ----- kinematics of the end effector ------------------------------
 
-    def end_effector(self, q: np.ndarray, elastic: bool = True) -> np.ndarray:
-        """End-effector position(s) in the base-joint frame; q (..., n)."""
-        q = np.asarray(q, dtype=float)
-        if elastic:
-            R2, _, _, A2, r1, r2, _, _ = self._tip_frames(q)
-            return (R2 @ r1[..., None])[..., 0] + (A2 @ r2[..., None])[..., 0]
-        R2 = _roty(q[..., 4])
-        R3 = _roty(q[..., 5])
-        tip = self.beam1.L * R2[..., :, 0]
-        return tip + self.beam2.L * (R2 @ R3)[..., :, 0]
+    def end_effector(self, q: np.ndarray) -> np.ndarray:
+        """Deformed-arm end-effector position(s) in the base-joint frame;
+        q (..., n)."""
+        R2, _, _, A2, r1, r2, _, _ = self._tip_frames(q)
+        return (R2 @ r1[..., None])[..., 0] + (A2 @ r2[..., None])[..., 0]
 
     def ee_deviation(self, q: np.ndarray) -> np.ndarray:
         """Elastic minus rigid forward kinematics, rotated to the inertial
-        frame with the base angle q_L1."""
-        dr = self.end_effector(q, elastic=True) - self.end_effector(q, elastic=False)
-        q1 = np.asarray(q, dtype=float)[..., 3]
+        frame with the base angle q_L1. The rigid kinematics are the
+        elastic ones at zero elastic coordinates."""
+        q = np.asarray(q, dtype=float)
+        q_rigid = q.copy()
+        q_rigid[..., 6:] = 0.0
+        dr = self.end_effector(q) - self.end_effector(q_rigid)
+        q1 = q[..., 3]
         c, s = np.cos(q1), np.sin(q1)
         out = np.empty_like(dr)
         out[..., 0] = c * dr[..., 0] - s * dr[..., 1]
@@ -501,9 +500,8 @@ def eom(model: RobotModel, q: np.ndarray, qd: np.ndarray) -> tuple[np.ndarray, n
     return M, h
 
 
-def energy(design: RobotDesign | RobotModel, state: GeneralizedState) -> tuple[float, float]:
+def energy(model: RobotModel, state: GeneralizedState) -> tuple[float, float]:
     """(kinetic, potential) energy of a state."""
-    model = design if isinstance(design, RobotModel) else RobotModel(design)
     M = model.mass_matrix(state.q)
     return float(0.5 * state.qd @ M @ state.qd), model.potential(state.q)
 
@@ -574,7 +572,6 @@ class SimSettings:
     method: str = "BDF"  # ode15s-style multistep; "Radau"/"LSODA" also work
     initial_elastic: str = "static"  # or "zero"
     gains: ControllerGains | None = None
-    torque_override: object = None  # callable t -> (3,) motor torque, test hook
 
     def __post_init__(self):
         if self.rtol <= 0.0 or self.atol <= 0.0 or self.sample_rate <= 0.0:
@@ -593,7 +590,6 @@ class SimulationResult:
     kappa1: np.ndarray  # (T, 3) curvature at xi_crit of link 1
     kappa2: np.ndarray  # (T, 3)
     dr_ee: np.ndarray  # (T, 3) elastic-vs-rigid end-effector deviation
-    tau: np.ndarray  # (T, 3) motor torques
     t_task: float
     t_settle: float
     # solver counts nfev, njev, nlu and steps; a run record, never written
@@ -722,7 +718,6 @@ def simulate(
         x0[mask] = hold[mask] / ki[mask]
         y0[2 * n :] = x0
 
-    override = settings.torque_override
     beta1, beta2 = design.links[0].damping_beta, design.links[1].damping_beta
 
     def rhs(t, y):
@@ -752,8 +747,6 @@ def simulate(
             )
             force[..., :3] += tau
             out[..., 2 * n :] = e_v
-        elif override is not None:
-            force[..., :3] += override(t)
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
@@ -789,26 +782,6 @@ def simulate(
     kappa2 = q_hist[:, model.sl2] @ model.curv2.T
     dr_ee = model.ee_deviation(q_hist)
 
-    tau_hist = np.zeros((ts.size, 3))
-    if controlled:
-        q_des, qd_des, _ = plan.sample_grid(ts)
-        ff = None
-        if tau_ff_t is not None:
-            ff = np.column_stack([np.interp(ts, tau_ff_t, tau_ff_v[:, i]) for i in range(3)])
-        tau_hist, _ = controller(
-            settings.gains,
-            q_hist[:, :3],
-            qd_hist[:, :3],
-            q_des,
-            qd_des,
-            Y[:, 2 * n :],
-            ff,
-            model.tau_limit,
-        )
-    elif override is not None:
-        for k in range(ts.size):
-            tau_hist[k] = override(ts[k])
-
     return SimulationResult(
         times=ts,
         q=q_hist,
@@ -816,7 +789,6 @@ def simulate(
         kappa1=kappa1,
         kappa2=kappa2,
         dr_ee=dr_ee,
-        tau=tau_hist,
         t_task=plan.t_task,
         t_settle=t_settle,
         stats={

@@ -119,6 +119,8 @@ def extract_extrema(times, sigma, hysteresis_gate: float = 0.0) -> ExtremaSeries
         raise ValueError("stress history must be a non-empty 1-d array")
     if times.shape != sigma.shape:
         raise ValueError("time grid and history must have equal length")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("stress history contains non-finite values")
     if sigma.size < 2:
         return ExtremaSeries(values=sigma.copy(), times=times.copy())
 
@@ -148,34 +150,27 @@ def count_cycles(series: ExtremaSeries, include_residue: bool = True) -> CycleSe
     the history, including those anchored at the moving start point) is
     counted as half cycles of weight 0.5 unless disabled.
     """
-    vals = list(np.asarray(series.values, dtype=float))
-    mean, amp, weight = [], [], []
-
-    def emit(a: float, b: float, w: float) -> None:
-        mean.append(0.5 * (a + b))
-        amp.append(0.5 * abs(a - b))
-        weight.append(w)
-
     buf: list[float] = []
-    for v in vals:
+    ranges: list[tuple[float, float, float]] = []  # (from, to, weight)
+    for v in series.values.tolist():
         buf.append(v)
         while len(buf) >= 3:
-            x = abs(buf[-1] - buf[-2])
-            y = abs(buf[-2] - buf[-3])
-            if x < y:
+            a, b = buf[-3], buf[-2]
+            if abs(v - b) < abs(b - a):
                 break
             if len(buf) == 3:
                 # range Y contains the starting point: half cycle
-                if include_residue:
-                    emit(buf[0], buf[1], 0.5)
+                ranges.append((a, b, 0.5))
                 del buf[0]
             else:
-                emit(buf[-3], buf[-2], 1.0)
+                ranges.append((a, b, 1.0))
                 del buf[-3:-1]
-    if include_residue:
-        for a, b in zip(buf[:-1], buf[1:]):
-            emit(a, b, 0.5)
-    return CycleSet(mean=np.array(mean), amplitude=np.array(amp), weight=np.array(weight))
+    ranges.extend((a, b, 0.5) for a, b in zip(buf[:-1], buf[1:]))
+    r = np.array(ranges, dtype=float).reshape(-1, 3)
+    if not include_residue:
+        r = r[r[:, 2] == 1.0]
+    a, b = r[:, 0], r[:, 1]
+    return CycleSet(mean=0.5 * (a + b), amplitude=0.5 * np.abs(a - b), weight=r[:, 2])
 
 
 def _edges(lo: float, hi: float, n: int) -> np.ndarray:

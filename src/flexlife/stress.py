@@ -41,14 +41,8 @@ def _face_tangent(y: float, z: float, half: float) -> tuple[float, float]:
     return (0.0, 1.0) if y > 0 else (0.0, -1.0)
 
 
-def material_point(
-    section: CrossSection,
-    xi: float,
-    y: float,
-    z: float,
-    tangent: tuple[float, float] | None = None,
-) -> MaterialPoint:
-    """Validated wall-midline point; tangent defaults to the face direction."""
+def material_point(section: CrossSection, xi: float, y: float, z: float) -> MaterialPoint:
+    """Validated wall-midline point with the tangent of its face."""
     half = 0.5 * (section.a - section.t)
     on_wall = abs(max(abs(y), abs(z)) - half) <= _MIDLINE_RTOL * section.a
     inside = max(abs(y), abs(z)) <= half * (1.0 + _MIDLINE_RTOL)
@@ -56,12 +50,7 @@ def material_point(
         raise ValueError(
             f"point (y={y}, z={z}) is not on the wall midline (half-width {half:.6g})"
         )
-    if tangent is None:
-        tangent = _face_tangent(y, z, half)
-    norm = float(np.hypot(*tangent))
-    if norm == 0.0:
-        raise ValueError("tangent must be a non-zero 2-vector")
-    return MaterialPoint(xi=xi, y=y, z=z, tangent=(tangent[0] / norm, tangent[1] / norm))
+    return MaterialPoint(xi=xi, y=y, z=z, tangent=_face_tangent(y, z, half))
 
 
 def default_stress_point(section: CrossSection, xi_crit: float = 0.0) -> MaterialPoint:

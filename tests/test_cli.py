@@ -92,30 +92,48 @@ class TestConfigValidation:
         assert "Traceback" not in result.output
 
 
-NONPOSITIVE_OPTIONS = [
-    ("fatigue", "--angles"),
-    ("fatigue", "--mean-bins"),
-    ("fatigue", "--amp-bins"),
-    ("rainflow", "--mean-bins"),
-    ("rainflow", "--amp-bins"),
+# (command, option, out-of-range value); an id names its value unless it is 0
+OUT_OF_RANGE_OPTIONS = [
+    ("fatigue", "--angles", "0"),
+    ("fatigue", "--mean-bins", "0"),
+    ("fatigue", "--amp-bins", "0"),
+    ("rainflow", "--mean-bins", "0"),
+    ("rainflow", "--amp-bins", "0"),
+    ("fatigue", "--gate", "-1"),
+    ("rainflow", "--gate", "-1"),
+    ("sweep", "--jobs", "0"),
+    ("sweep", "--jobs", "-2"),
+    ("sweep", "--plot-cap-hours", "0"),
+    ("sweep", "--plot-cap-hours", "-5"),
 ]
 
 
-@pytest.mark.parametrize("command,option", NONPOSITIVE_OPTIONS)
-def test_count_option_below_one_exit_2(runner, tmp_path, command, option):
+@pytest.mark.parametrize(
+    "command,option,value",
+    OUT_OF_RANGE_OPTIONS,
+    ids=[f"{c}-{o}" + ("" if v == "0" else v) for c, o, v in OUT_OF_RANGE_OPTIONS],
+)
+def test_count_option_below_one_exit_2(runner, tmp_path, command, option, value):
+    """Counts below one, a negative gate, --jobs below one and a cap that is
+    not positive exit 2 with click's usage message, as the same values do
+    in the config file."""
     if command == "fatigue":
         data = tmp_path / "stress.csv"
         data.write_text("t,sigma_xx,sigma_xy\n0.0,1e7,0.0\n0.1,-1e7,0.0\n")
         args = [str(data), str(Path(DEMO_CONFIG).parent / "fatigue_material.json")]
-    else:
+    elif command == "rainflow":
         data = tmp_path / "series.csv"
         data.write_text("t,sigma\n0,1.0\n1,-1.0\n2,2.0\n")
         args = [str(data)]
-    result = runner.invoke(main, [command, *args, option, "0", "--out-dir", str(tmp_path)])
+    else:
+        args = ["--config", str(fast_config(tmp_path))]
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, *args, option, value, "--out-dir", str(out)])
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert option in result.output
+    assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -200,6 +218,14 @@ class TestRainflowCommand:
         assert result.exit_code == 0, result.output
         matrix = np.genfromtxt(tmp_path / "rainflow_matrix.csv", delimiter=",", names=True)
         assert matrix["count"].sum() == pytest.approx(4.0)
+
+    def test_blank_sample_exit_2(self, runner, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("t,sigma\n0,-2.0\n1,1.0\n2,\n3,5.0\n4,-1.0\n")
+        result = runner.invoke(main, ["rainflow", str(series), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "non-finite" in result.output
+        assert not (tmp_path / "rainflow_matrix.csv").exists()
 
 
 class TestParetoCommand:

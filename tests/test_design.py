@@ -129,12 +129,12 @@ class TestMassCriterion:
 
 
 class TestVibrationCriterion:
-    def _result(self, times, dr):
+    def _result(self, times, dr, t_task=0.5):
         n = times.size
         zeros = np.zeros((n, 3))
         return dyn.SimulationResult(
             times=times, q=np.zeros((n, 12)), qd=np.zeros((n, 12)), kappa1=zeros,
-            kappa2=zeros, dr_ee=dr, tau=zeros, t_task=0.5, t_settle=0.5,
+            kappa2=zeros, dr_ee=dr, t_task=t_task, t_settle=0.5,
         )
 
     def test_zero_deviation(self):
@@ -153,16 +153,18 @@ class TestVibrationCriterion:
     def test_window_restricts_samples(self):
         t = np.linspace(0.0, 1.0, 101)
         dr = np.zeros((101, 3))
-        dr[10, 0] = 5.0  # inside the motion phase, outside the default window
-        res = self._result(t, dr)
-        assert dsg.vibration_criterion(res) == 0.0
-        assert dsg.vibration_criterion(res, window=(0.0, 1.0)) == 5.0
+        dr[10, 0] = 5.0  # inside the motion phase, outside the settling window
+        assert dsg.vibration_criterion(self._result(t, dr)) == 0.0
+        dr[50, 1] = 3.0  # the sample at t_task opens the window
+        dr[100, 2] = -2.0  # and the last sample closes it
+        assert dsg.vibration_criterion(self._result(t, dr)) == 3.0
+        assert dsg.vibration_criterion(self._result(t, dr, t_task=0.9)) == 2.0
 
     def test_empty_window_rejected(self):
         t = np.linspace(0.0, 1.0, 11)
-        res = self._result(t, np.zeros((11, 3)))
-        with pytest.raises(ValueError):
-            dsg.vibration_criterion(res, window=(2.0, 3.0))
+        res = self._result(t, np.zeros((11, 3)), t_task=2.0)  # task outlasts the samples
+        with pytest.raises(ValueError, match="t_task"):
+            dsg.vibration_criterion(res)
 
 
 class TestParetoFront:

@@ -71,6 +71,13 @@ class TestExtractExtrema:
         out = extract_extrema(np.arange(5.0), np.full(5, 3.3))
         assert out.values.tolist() == [3.3]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        sig = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
+        sig[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_extrema(np.arange(5.0), sig)
+
 
 class TestCountCycles:
     def test_demo_sequence_astm_counts(self):
@@ -162,6 +169,82 @@ class TestEquivariance:
         np.testing.assert_array_equal(shifted.amplitude, base.amplitude)
         np.testing.assert_array_equal(shifted.mean, base.mean + c)
         assert shifted.weight.tolist() == base.weight.tolist()
+
+
+def reference_count_cycles(series, include_residue=True):
+    """The former counting loop (three parallel lists filled by an emit
+    closure), kept as the oracle of the differential tests below."""
+    vals = list(np.asarray(series.values, dtype=float))
+    mean, amp, weight = [], [], []
+
+    def emit(a, b, w):
+        mean.append(0.5 * (a + b))
+        amp.append(0.5 * abs(a - b))
+        weight.append(w)
+
+    buf = []
+    for v in vals:
+        buf.append(v)
+        while len(buf) >= 3:
+            x = abs(buf[-1] - buf[-2])
+            y = abs(buf[-2] - buf[-3])
+            if x < y:
+                break
+            if len(buf) == 3:
+                if include_residue:
+                    emit(buf[0], buf[1], 0.5)
+                del buf[0]
+            else:
+                emit(buf[-3], buf[-2], 1.0)
+                del buf[-3:-1]
+    if include_residue:
+        for a, b in zip(buf[:-1], buf[1:]):
+            emit(a, b, 0.5)
+    return CycleSet(mean=np.array(mean), amplitude=np.array(amp), weight=np.array(weight))
+
+
+def assert_same_cycles(series):
+    """Exact equality, order included, with the reference loop."""
+    for include_residue in (True, False):
+        got = count_cycles(series, include_residue=include_residue)
+        want = reference_count_cycles(series, include_residue=include_residue)
+        for name in ("mean", "amplitude", "weight"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+
+
+class TestCountCyclesMatchesReference:
+    def test_random_series(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            sig = rng.normal(0.0, 1e7, n).cumsum() + rng.normal(0.0, 3e6, n)
+            assert_same_cycles(extract_extrema(np.arange(float(n)), sig))
+
+    def test_demo_and_degenerate_series(self):
+        for values in (DEMO, [2.0], [1.0, -1.0], [1.0, -1.0, 1.0], -DEMO):
+            assert_same_cycles(series_from_values(values))
+
+    @given(alternating_series())
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_integer_series(self, values):
+        assert_same_cycles(series_from_values(values))
+
+    # no magnitudes below 1e-6: extract_extrema tells peaks from valleys by
+    # the sign of a product of differences, which underflows to 0 for
+    # subnormal ones
+    @given(
+        st.lists(
+            st.floats(min_value=-1e9, max_value=1e9).filter(lambda x: x == 0.0 or abs(x) >= 1e-6),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_float_histories(self, sig):
+        sig = np.array(sig)
+        assert_same_cycles(extract_extrema(np.arange(float(sig.size)), sig))
 
 
 class TestBinning:

@@ -36,11 +36,6 @@ class TestMaterialPoint:
         assert st.material_point(section, 0.0, -half, 0.0).tangent == (0.0, -1.0)
         assert st.material_point(section, 0.0, 0.0, -half).tangent == (1.0, 0.0)
 
-    def test_explicit_tangent_normalized(self, section):
-        half = 0.5 * (section.a - section.t)
-        pt = st.material_point(section, 0.0, 0.0, half, tangent=(-2.0, 0.0))
-        assert pt.tangent == (-1.0, 0.0)
-
 
 class TestStressesFromCurvature:
     def test_zero_curvature(self, section, steel):
