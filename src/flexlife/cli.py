@@ -39,6 +39,13 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _finite(ctx, param, value):
+    """Option callback: click's float types let nan and inf through."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @click.group()
 def main():
     """Elastic-arm load-case simulation and fatigue lifetime estimation."""
@@ -113,13 +120,13 @@ def _report_dict(report: fat.DamageReport) -> dict:
 @main.command("fatigue")
 @click.argument("stress_csv", type=click.Path(exists=True))
 @click.argument("material_json", type=click.Path(exists=True))
-@click.option("--t-task", type=float, default=None,
+@click.option("--t-task", type=float, default=None, callback=_finite,
               help="Task duration in s (default: history span).")
 @click.option("--angles", type=click.IntRange(min=1), default=73, show_default=True)
 @click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--gate", type=click.FloatRange(min=0.0), default=0.0, show_default=True,
-              help="Hysteresis gate in Pa.")
+              callback=_finite, help="Hysteresis gate in Pa.")
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, gate, out_dir):
     """Critical-plane damage and lifetime from a stress-history CSV."""
@@ -151,7 +158,8 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
 @click.argument("series_csv", type=click.Path(exists=True))
 @click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
-@click.option("--gate", type=click.FloatRange(min=0.0), default=0.0, show_default=True)
+@click.option("--gate", type=click.FloatRange(min=0.0), default=0.0, show_default=True,
+              callback=_finite)
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
     """Rainflow matrix of a scalar stress history CSV (columns t, sigma)."""
@@ -252,7 +260,7 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
 @click.option("--only-pareto-fatigue", is_flag=True, default=False,
               help="Run the fatigue stage only for Pareto-front candidates.")
 @click.option("--plot-cap-hours", type=click.FloatRange(min=0.0, min_open=True), default=3500.0,
-              show_default=True,
+              show_default=True, callback=_finite,
               help="Display ceiling for infinite lifetimes in plot CSV.")
 def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
     """Evaluate the full thickness grid and extract the Pareto front."""

@@ -295,8 +295,8 @@ def _build_config(raw: dict) -> RunConfig:
         "simulation",
     )
     method = sim_obj.get("method", "BDF")
-    if method not in ("BDF", "Radau", "LSODA"):
-        raise ConfigError(f"simulation.method: expected BDF, Radau or LSODA, got {method!r}")
+    if method != "BDF":
+        raise ConfigError(f"simulation.method: expected BDF (VODE), got {method!r}")
     t_settle = sim_obj.get("t_settle")
     if t_settle is not None:
         t_settle = _number(sim_obj, "t_settle", "simulation", positive=True)
@@ -308,7 +308,6 @@ def _build_config(raw: dict) -> RunConfig:
         atol=_number(sim_obj, "atol", "simulation", positive=True, default=1e-9),
         t_settle=t_settle,
         sample_rate=_number(sim_obj, "sample_rate", "simulation", positive=True, default=1000.0),
-        method=method,
         initial_elastic=initial,
         gains=gains,
     )

@@ -29,11 +29,14 @@ along the rotation axis, so nothing is lost.
 
 from __future__ import annotations
 
+import functools
 import math
+import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 from scipy.linalg import eigh
 
 from .beam import BeamSpec, Material, RitzBasis, quadrature, section_properties, shape_basis
@@ -569,7 +572,6 @@ class SimSettings:
     atol: float = 1e-9
     t_settle: float | None = None  # None: twice the slowest linearized period
     sample_rate: float = 1000.0
-    method: str = "BDF"  # ode15s-style multistep; "Radau"/"LSODA" also work
     initial_elastic: str = "static"  # or "zero"
     gains: ControllerGains | None = None
 
@@ -582,7 +584,7 @@ class SimSettings:
 
 @dataclass
 class SimulationResult:
-    """Uniformly resampled state and output histories of one run."""
+    """State and output histories of one run on a uniform time grid."""
 
     times: np.ndarray  # (T,)
     q: np.ndarray  # (T, n)
@@ -592,9 +594,11 @@ class SimulationResult:
     dr_ee: np.ndarray  # (T, 3) elastic-vs-rigid end-effector deviation
     t_task: float
     t_settle: float
-    # solver counts nfev, njev, nlu and steps; a run record, never written
-    # to the output files
-    stats: dict[str, int] = field(default_factory=dict)
+    # run record, never written to the output files: the solver counts
+    # nfev, njev, nlu and steps, and the wall seconds of the stages
+    # presolve_s (model build, equilibrium, periods, feedforward), solve_s
+    # and postsolve_s
+    stats: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
@@ -673,11 +677,167 @@ def _feedforward_table(
     return ts, tau
 
 
+# ---------------------------------------------------------------------------
+# integrator
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """What :func:`solve_ivp` returns: the states at the output times it
+    reached and VODE's counters (f calls, Jacobians, LU factorisations and
+    steps)."""
+
+    t: np.ndarray  # (T,)
+    y: np.ndarray  # (N, T)
+    success: bool
+    message: str
+    nfev: int
+    njev: int
+    nlu: int
+    nst: int
+
+
+# 0-based slots of NST, NFE, NJE and NLU in VODE's integer work array
+_IWORK_NST, _IWORK_NFE, _IWORK_NJE, _IWORK_NLU = 10, 11, 12, 18
+# steps allowed per output interval: a collapsed step size fails within
+# seconds instead of crawling on
+_MAX_STEPS = 5000
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: int):
+    """scipy's VODE BDF for y' = f(t, y) with the user Jacobian jac, started
+    at (t0, y0), around two faults of scipy 1.17.1's wrapper.
+
+    Returns the ``ode`` object, for its status and counters, and
+    ``integrate(t)``, which returns y(t) or raises what a callback raised.
+
+    - VODE ignores the last diagonal entry of the Jacobian, so a stiff last
+      component does not converge. The state carries one extra trailing
+      component that is inert (zero rate, zero Jacobian row and column),
+      which makes that entry exactly 0.
+    - VODE does not propagate an exception raised in f or jac: it carries
+      on and fails later with an unrelated ValueError. The first one is
+      kept, VODE gets NaN until it gives up, and integrate re-raises it.
+    """
+    n = y0.size
+    failure = []
+
+    def extended(callback, shape):
+        real = (slice(n),) * len(shape)
+
+        def call(t, y):
+            out = np.zeros(shape)
+            if not failure:
+                try:
+                    out[real] = callback(t, y[:n])
+                    return out
+                except BaseException as exc:
+                    failure.append(exc)
+            return np.full(shape, np.nan)
+
+        return call
+
+    r = ode(extended(f, (n + 1,)), extended(jac, (n + 1, n + 1)))
+    r.set_integrator("vode", method="bdf", rtol=rtol, atol=atol, nsteps=nsteps)
+    r.set_initial_value(np.append(y0, 0.0), t0)
+
+    def integrate(t: float) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a failed call warns; r.successful() tells
+            y = r.integrate(t)
+        if failure:
+            raise failure[0]
+        return y[:n]
+
+    return r, integrate
+
+
+# stiff, non-symmetric linear system of the layout probe; from y(0) = (1, 1)
+# its exact y(1) (the e^(-1e4 t) mode has died out)
+_PROBE_A = np.array([[-1e4, 1e4], [0.0, -1.0]])
+_PROBE_Y1 = math.exp(-1.0) * np.array([1e4 / 9999.0, 1.0])
+
+
+@functools.cache
+def _jacobian_transposed() -> bool:
+    """Whether scipy's VODE reads a user Jacobian transposed (it does in
+    scipy 1.17.1).
+
+    Integrates the probe system over [0, 1] with each layout and keeps the
+    first that reaches the exact solution within a few hundred steps;
+    RuntimeError if neither does. Runs once per process, at the first
+    solve.
+    """
+    for transposed in (False, True):
+        J = _PROBE_A.T if transposed else _PROBE_A
+        r, integrate = _vode(lambda t, y: _PROBE_A @ y, lambda t, y: J, np.ones(2), 0.0,
+                             1e-8, 1e-10, 500)
+        y = integrate(1.0)
+        if r.successful() and np.abs(y - _PROBE_Y1).max() < 1e-6:
+            return transposed
+    raise RuntimeError("scipy's VODE BDF solves the probe system with neither Jacobian layout")
+
+
+def solve_ivp(fun, t_span, y0, method="BDF", t_eval=None, rtol=1e-3, atol=1e-6,
+              vectorized=False) -> OdeResult:
+    """Integrate y' = fun(t, y) over t_span with scipy's compiled VODE BDF
+    (Brown, Byrne & Hindmarsh 1989) and return the states at t_eval
+    (default: the end of the span).
+
+    Takes the arguments of ``scipy.integrate.solve_ivp`` that simulate
+    uses. Each Jacobian is a forward difference from one call of fun on
+    the base state and all its perturbations (one call per state unless
+    vectorized), so fun runs nfev + njev times. An exception raised in fun
+    is re-raised as it is. A solver failure, including more than
+    ``_MAX_STEPS`` steps between two output times, returns success=False
+    with VODE's return code in the message and the outputs reached so far.
+    """
+    if method != "BDF":
+        raise ValueError(f"only the BDF method is available, got {method!r}")
+    transposed = _jacobian_transposed()
+    t0, t1 = map(float, t_span)
+    y0 = np.asarray(y0, dtype=float)
+    t_eval = np.array([t1]) if t_eval is None else np.asarray(t_eval, dtype=float)
+
+    def jac(t, y):
+        # column 0 is the base state, column j + 1 perturbs component j
+        h = (y + _FD_STEP * np.maximum(np.abs(y), 1.0)) - y
+        Y = np.repeat(y[:, None], y.size + 1, axis=1)
+        Y[:, 1:] += np.diag(h)
+        F = fun(t, Y) if vectorized else np.column_stack([fun(t, c) for c in Y.T])
+        J = (F[:, 1:] - F[:, :1]) / h
+        return J.T if transposed else J
+
+    r, integrate = _vode(fun, jac, y0, t0, rtol, atol, _MAX_STEPS)
+    ys = np.empty((y0.size, t_eval.size))
+    done = 0
+    for t in t_eval:
+        ys[:, done] = y0 if t == t0 else integrate(t)
+        if not r.successful():
+            break
+        done += 1
+    success = done == t_eval.size
+    iwork = r._integrator.iwork
+    return OdeResult(
+        t=t_eval[:done],
+        y=ys[:, :done],
+        success=success,
+        message="reached the end of t_eval" if success
+        else f"VODE return code {r.get_return_code()} at t={r.t:.6g}",
+        nfev=int(iwork[_IWORK_NFE]),
+        njev=int(iwork[_IWORK_NJE]),
+        nlu=int(iwork[_IWORK_NLU]),
+        nst=int(iwork[_IWORK_NST]),
+    )
+
+
 def simulate(
     design: RobotDesign, plan: TrajectoryPlan, settings: SimSettings | None = None
 ) -> SimulationResult:
     """Integrate the closed-loop (or free) dynamics over the task plus a
-    settling window and resample everything on a uniform grid."""
+    settling window, with outputs on a uniform grid."""
+    t_start = time.perf_counter()
     settings = settings or SimSettings()
     model = RobotModel(design)
     n = model.n
@@ -755,26 +915,20 @@ def simulate(
         out[..., n : 2 * n] = np.linalg.solve(M, force[..., None])[..., 0]
         return out.T
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        y0,
-        method=settings.method,
-        rtol=settings.rtol,
-        atol=settings.atol,
-        dense_output=True,
-        vectorized=True,
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else 0.0
-        raise SimulationError(f"integration failed at t={t_fail:.6f}: {sol.message}", t_fail)
-
     dt = 1.0 / settings.sample_rate
     ts = np.arange(0.0, t_end + 0.5 * dt, dt)
     ts[-1] = min(ts[-1], t_end)
-    Y = sol.sol(ts).T
+    t_solve = time.perf_counter()
+    sol = solve_ivp(
+        rhs, (0.0, t_end), y0, t_eval=ts, rtol=settings.rtol, atol=settings.atol, vectorized=True
+    )
+    t_post = time.perf_counter()
+    if not sol.success:
+        t_fail = float(sol.t[-1]) if sol.t.size else 0.0
+        raise SimulationError(f"integration failed at t={t_fail:.6f}: {sol.message}", t_fail)
+    Y = sol.y.T
     if not np.all(np.isfinite(Y)):
-        raise SimulationError("non-finite state in the resampled solution")
+        raise SimulationError("non-finite state in the solution")
 
     q_hist = Y[:, :n]
     qd_hist = Y[:, n : 2 * n]
@@ -792,9 +946,12 @@ def simulate(
         t_task=plan.t_task,
         t_settle=t_settle,
         stats={
-            "nfev": int(sol.nfev),
-            "njev": int(sol.njev),
-            "nlu": int(sol.nlu),
-            "steps": int(sol.t.size - 1),
+            "nfev": sol.nfev,
+            "njev": sol.njev,
+            "nlu": sol.nlu,
+            "steps": sol.nst,
+            "presolve_s": t_solve - t_start,
+            "solve_s": t_post - t_solve,
+            "postsolve_s": time.perf_counter() - t_post,
         },
     )

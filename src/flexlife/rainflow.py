@@ -31,7 +31,8 @@ class ExtremaSeries:
         d = np.diff(v)
         if np.any(d == 0.0):
             raise ValueError("consecutive equal extrema are not allowed")
-        if d.size >= 2 and np.any(d[:-1] * d[1:] > 0.0):
+        up = d > 0.0
+        if np.any(up[:-1] == up[1:]):
             raise ValueError("extrema must strictly alternate between peaks and valleys")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "times", t)
@@ -100,8 +101,9 @@ def _alternating(values: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.
     v, t = values[keep], times[keep]
     if v.size <= 2:
         return v, t
-    d = np.diff(v)
-    interior = d[:-1] * d[1:] < 0.0
+    # compare directions: the product of two tiny differences can underflow to 0
+    up = np.diff(v) > 0.0
+    interior = up[:-1] != up[1:]
     mask = np.concatenate(([True], interior, [True]))
     return v[mask], t[mask]
 

@@ -72,6 +72,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="E"):
             load_config(p)
 
+    @pytest.mark.parametrize("method", ["Radau", "LSODA", "bdf"])
+    def test_simulation_method_other_than_bdf_exit_2(self, runner, tmp_path, method):
+        p = fast_config(tmp_path, **{"simulation.method": method})
+        with pytest.raises(ConfigError, match="simulation.method"):
+            load_config(p)
+        result = runner.invoke(main, ["simulate", "--config", str(p)])
+        assert result.exit_code == 2
+        assert "simulation.method" in result.output
+        assert "Traceback" not in result.output
+
     def test_cli_exit_code_2_on_bad_config(self, runner, tmp_path):
         raw = json.loads(DEMO_CONFIG.read_text())
         del raw["trajectory"]["q_pick"]
@@ -105,6 +115,12 @@ OUT_OF_RANGE_OPTIONS = [
     ("sweep", "--jobs", "-2"),
     ("sweep", "--plot-cap-hours", "0"),
     ("sweep", "--plot-cap-hours", "-5"),
+    ("fatigue", "--gate", "nan"),
+    ("rainflow", "--gate", "nan"),
+    ("rainflow", "--gate", "inf"),
+    ("sweep", "--plot-cap-hours", "nan"),
+    ("sweep", "--plot-cap-hours", "inf"),
+    ("fatigue", "--t-task", "nan"),
 ]
 
 
@@ -114,9 +130,10 @@ OUT_OF_RANGE_OPTIONS = [
     ids=[f"{c}-{o}" + ("" if v == "0" else v) for c, o, v in OUT_OF_RANGE_OPTIONS],
 )
 def test_count_option_below_one_exit_2(runner, tmp_path, command, option, value):
-    """Counts below one, a negative gate, --jobs below one and a cap that is
-    not positive exit 2 with click's usage message, as the same values do
-    in the config file."""
+    """Counts below one, a negative gate, --jobs below one, a cap that is
+    not positive and a gate, cap or task time that is not finite exit 2
+    with click's usage message, as the same values do in the config
+    file."""
     if command == "fatigue":
         data = tmp_path / "stress.csv"
         data.write_text("t,sigma_xx,sigma_xy\n0.0,1e7,0.0\n0.1,-1e7,0.0\n")

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from flexlife import dynamics as dyn
 from flexlife.trajectory import JointLimits, plan_joint_move
@@ -410,8 +411,11 @@ class TestSimulate:
         assert res.q.shape == (res.times.size, n)
         assert res.kappa1.shape == (res.times.size, 3)
         assert res.times[-1] == pytest.approx(short_plan.t_task + fast_sim.t_settle, abs=2e-3)
-        assert set(res.stats) == {"nfev", "njev", "nlu", "steps"}
-        assert all(isinstance(v, int) and v > 0 for v in res.stats.values())
+        counts = {"nfev", "njev", "nlu", "steps"}
+        stages = {"presolve_s", "solve_s", "postsolve_s"}
+        assert set(res.stats) == counts | stages
+        assert all(isinstance(res.stats[k], int) and res.stats[k] > 0 for k in counts)
+        assert all(isinstance(res.stats[k], float) and res.stats[k] >= 0.0 for k in stages)
 
     def test_controller_runs_only_inside_the_solver(
         self, small_design, short_plan, fast_sim, monkeypatch
@@ -597,6 +601,145 @@ class TestBatchedPaths:
             np.testing.assert_allclose(rhs(0.05, Y[:, k]), col, rtol=0.0, atol=tol)
 
 
+def linear(A):
+    """Vectorised right-hand side of y' = A y."""
+    return lambda t, y: A @ y
+
+
+# stiff linear systems; the last two have their stiff mode in the last
+# component
+STIFF_SYSTEMS = {
+    "3x3": np.array([[-1.0, 1000.0, 0.0], [0.0, -2000.0, 1.0], [5.0, 0.0, -3.0]]),
+    "stiff-last": np.array([[-1.0, 0.0], [1e4, -1e4]]),
+    "diagonal": np.diag([-1.0, -1e4]),
+}
+
+
+class TestVodeDriver:
+    """dynamics.solve_ivp drives scipy's VODE BDF; these pin the workarounds
+    for its quirks and the meaning of the counters it reads."""
+
+    @pytest.mark.parametrize("name", sorted(STIFF_SYSTEMS))
+    def test_stiff_linear_systems_converge_cheaply(self, name):
+        # a misread Jacobian (wrong layout, or the last diagonal entry
+        # ignored) makes these stall near the explicit step limit
+        A = STIFF_SYSTEMS[name]
+        y0 = np.ones(A.shape[0])
+        exact = expm(A) @ y0
+        sol = dyn.solve_ivp(linear(A), (0.0, 1.0), y0, rtol=1e-8, atol=1e-10, vectorized=True)
+        assert sol.success
+        np.testing.assert_allclose(sol.y[:, -1], exact, rtol=0.0, atol=1e-6 * np.abs(exact).max())
+        assert sol.nfev < 1000
+
+    def test_layout_probe_discriminates(self):
+        # the probe's layout solves the probe system, the other one must
+        # not, or the probe could not tell a transposing VODE from a fixed one
+        transposed = dyn._jacobian_transposed()
+        A = dyn._PROBE_A
+        results = []
+        for layout in (transposed, not transposed):
+            J = A.T if layout else A
+            r, integrate = dyn._vode(linear(A), lambda t, y: J, np.ones(2), 0.0, 1e-8, 1e-10, 500)
+            y = integrate(1.0)
+            results.append(r.successful() and np.abs(y - dyn._PROBE_Y1).max() < 1e-6)
+        assert results == [True, False]
+
+    def test_layout_probe_raises_when_no_layout_converges(self, monkeypatch):
+        monkeypatch.setattr(dyn, "_PROBE_Y1", dyn._PROBE_Y1 + 1.0)
+        with pytest.raises(RuntimeError, match="neither Jacobian layout"):
+            dyn._jacobian_transposed.__wrapped__()
+
+    def test_counters_count_rhs_calls_and_steps(self):
+        # f calls are single states; each Jacobian is one batched call
+        A = STIFF_SYSTEMS["3x3"]
+        widths = []
+
+        def fun(t, y):
+            widths.append(1 if y.ndim == 1 else y.shape[1])
+            return A @ y
+
+        sol = dyn.solve_ivp(fun, (0.0, 1.0), np.ones(3), t_eval=np.linspace(0.0, 1.0, 11),
+                            rtol=1e-8, atol=1e-10, vectorized=True)
+        assert sol.success and sol.t.tolist() == np.linspace(0.0, 1.0, 11).tolist()
+        assert widths.count(1) == sol.nfev
+        assert widths.count(4) == sol.njev > 0
+        assert sol.nfev >= sol.nst > 0
+        assert sol.nlu >= sol.njev
+
+    @pytest.mark.parametrize("callback", ["f", "jac"])
+    def test_callback_exception_is_reraised(self, callback):
+        # VODE itself would carry on and fail later with an unrelated
+        # ValueError; fun gets single states from f and batches from the
+        # Jacobian
+        A = STIFF_SYSTEMS["3x3"]
+
+        def fun(t, y):
+            if (y.ndim == 2) if callback == "jac" else t > 0.1:
+                raise _Captured(t)
+            return A @ y
+
+        with pytest.raises(_Captured) as info:
+            dyn.solve_ivp(fun, (0.0, 1.0), np.ones(3), rtol=1e-8, atol=1e-10, vectorized=True)
+        assert callback == "jac" or info.value.args[0] > 0.1
+
+    def test_stall_returns_failure_with_return_code(self):
+        # y' = y^2 blows up at t = 1: the step size collapses
+        sol = dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0],
+                            t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-6, atol=1e-9)
+        assert not sol.success
+        assert "return code -1" in sol.message
+        assert sol.t[-1] < 1.0 < sol.t[-1] + 0.1 + 1e-12
+        assert sol.y.shape == (1, sol.t.size)
+
+    def test_only_bdf(self):
+        with pytest.raises(ValueError, match="BDF"):
+            dyn.solve_ivp(linear(-np.eye(1)), (0.0, 1.0), [1.0], method="Radau")
+
+    def test_step_limit_raises_simulation_error(self, small_design, short_plan, fast_sim,
+                                                monkeypatch):
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 3)
+        with pytest.raises(dyn.SimulationError, match="return code -1") as info:
+            dyn.simulate(small_design, short_plan, fast_sim)
+        assert info.value.t_failure is not None
+
+    def test_matches_scipy_bdf(self, small_design, short_plan, fast_sim, monkeypatch):
+        """Differential test against scipy's solve_ivp BDF, the integrator
+        VODE replaced. Tolerance: 10 rtol, the bound criterion 8 puts on
+        the move of the terminal state when rtol is halved, on the
+        terminal state (relative to max(1, |q|)) and on J_vib and D_max
+        (relative). Measured: 3e-8, 4e-7 and 1.2e-5 at rtol = 1e-5."""
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        from flexlife import design as dsg
+        from flexlife.fatigue import FatigueMaterial
+
+        def bdf(fun, t_span, y0, **kwargs):
+            sol = scipy_solve_ivp(fun, t_span, y0, method="BDF", **kwargs)
+            sol.nst = sol.t.size - 1
+            return sol
+
+        settings = dsg.SweepSettings(
+            sim=fast_sim,
+            fatigue_material=FatigueMaterial(yield_strength=8e7, fatigue_strength=8e5),
+            reference=(0.004, 0.004),
+            n_angles=19,
+        )
+
+        def outputs(res):
+            histories = dsg.link_stress_histories(small_design, res)
+            d_max, _ = dsg.candidate_lifetime(histories, settings, short_plan.t_task)
+            return np.array([dsg.vibration_criterion(res), d_max])
+
+        vode = dyn.simulate(small_design, short_plan, fast_sim)
+        monkeypatch.setattr(dyn, "solve_ivp", bdf)
+        oracle = dyn.simulate(small_design, short_plan, fast_sim)
+        bound = 10.0 * fast_sim.rtol
+        np.testing.assert_array_equal(vode.times, oracle.times)
+        scale = max(1.0, np.abs(oracle.q[-1]).max())
+        assert np.abs(vode.q[-1] - oracle.q[-1]).max() / scale < bound
+        np.testing.assert_allclose(outputs(vode), outputs(oracle), rtol=bound, atol=0.0)
+
+
 class TestMassMatrixGuard:
     def test_simulate_raises_simulation_error(self, small_design, short_plan, fast_sim,
                                               monkeypatch):
@@ -604,6 +747,32 @@ class TestMassMatrixGuard:
         with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
             dyn.simulate(small_design, short_plan, fast_sim)
         assert info.value.t_failure is not None
+
+    def test_mid_run_failure_in_f_is_reraised(self, small_design, short_plan, fast_sim,
+                                              monkeypatch):
+        # M turns indefinite after t = 0.05, and only for the single states
+        # VODE's f sees (the Jacobian calls are batches), so the guard trips
+        # inside f, whose exceptions VODE does not propagate
+        now = [0.0]
+        real_solver, real_mass = dyn.solve_ivp, dyn.RobotModel.mass_gradients
+
+        def solver(fun, *args, **kwargs):
+            def timed(t, y):
+                now[0] = t
+                return fun(t, y)
+
+            return real_solver(timed, *args, **kwargs)
+
+        def mass_gradients(self, q):
+            M, dM2, dM3 = real_mass(self, q)
+            return (-M if q.ndim == 1 and now[0] > 0.05 else M), dM2, dM3
+
+        monkeypatch.setattr(dyn, "solve_ivp", solver)
+        monkeypatch.setattr(dyn.RobotModel, "mass_gradients", mass_gradients)
+        with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
+            dyn.simulate(small_design, short_plan, fast_sim)
+        assert not isinstance(info.value, ValueError)
+        assert 0.05 < info.value.t_failure < short_plan.t_task
 
     def test_batched_call_raises_simulation_error(self, small_design, short_plan, fast_sim,
                                                   monkeypatch):

@@ -71,6 +71,13 @@ class TestExtractExtrema:
         out = extract_extrema(np.arange(5.0), np.full(5, 3.3))
         assert out.values.tolist() == [3.3]
 
+    def test_tiny_differences_keep_alternation(self):
+        # the products of consecutive differences underflow to 0 here, their
+        # signs do not
+        out = extract_extrema(np.arange(5.0), [1.0, 2.2e-311, 0.0, 4.2e-70, 0.0])
+        assert out.values.tolist() == [1.0, 0.0, 4.2e-70, 0.0]
+        assert out.times.tolist() == [0.0, 2.0, 3.0, 4.0]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, bad):
         sig = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
@@ -124,6 +131,11 @@ class TestCountCycles:
     def test_non_alternating_rejected(self):
         with pytest.raises(ValueError):
             ExtremaSeries(values=np.array([0.0, 1.0, 2.0]), times=np.arange(3.0))
+
+    def test_non_alternating_tiny_differences_rejected(self):
+        # a monotone run whose difference product underflows to 0
+        with pytest.raises(ValueError, match="alternate"):
+            ExtremaSeries(values=np.array([0.0, 1e-200, 2e-200]), times=np.arange(3.0))
 
     def test_weight_bookkeeping_random_series(self):
         rng = np.random.default_rng(5)
@@ -231,16 +243,7 @@ class TestCountCyclesMatchesReference:
     def test_hypothesis_integer_series(self, values):
         assert_same_cycles(series_from_values(values))
 
-    # no magnitudes below 1e-6: extract_extrema tells peaks from valleys by
-    # the sign of a product of differences, which underflows to 0 for
-    # subnormal ones
-    @given(
-        st.lists(
-            st.floats(min_value=-1e9, max_value=1e9).filter(lambda x: x == 0.0 or abs(x) >= 1e-6),
-            min_size=1,
-            max_size=80,
-        )
-    )
+    @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_hypothesis_float_histories(self, sig):
         sig = np.array(sig)
