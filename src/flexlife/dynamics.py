@@ -699,9 +699,10 @@ class OdeResult:
 
 # 0-based slots of NST, NFE, NJE and NLU in VODE's integer work array
 _IWORK_NST, _IWORK_NFE, _IWORK_NJE, _IWORK_NLU = 10, 11, 12, 18
-# steps allowed per output interval: a collapsed step size fails within
-# seconds instead of crawling on
+# steps allowed per simulated _STEP_WINDOW: a collapsed step size fails
+# within seconds instead of crawling on, whatever the output spacing
 _MAX_STEPS = 5000
+_STEP_WINDOW = 1e-3
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
@@ -715,7 +716,10 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
     - VODE ignores the last diagonal entry of the Jacobian, so a stiff last
       component does not converge. The state carries one extra trailing
       component that is inert (zero rate, zero Jacobian row and column),
-      which makes that entry exactly 0.
+      which makes that entry exactly 0. VODE's error norm is the RMS over
+      all n + 1 components, to which the inert one adds 0, so rtol and
+      atol are scaled by sqrt(n / (n + 1)) to keep the error test of the
+      n real components.
     - VODE does not propagate an exception raised in f or jac: it carries
       on and fails later with an unrelated ValueError. The first one is
       kept, VODE gets NaN until it gives up, and integrate re-raises it.
@@ -739,12 +743,14 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
         return call
 
     r = ode(extended(f, (n + 1,)), extended(jac, (n + 1, n + 1)))
-    r.set_integrator("vode", method="bdf", rtol=rtol, atol=atol, nsteps=nsteps)
+    scale = math.sqrt(n / (n + 1))
+    r.set_integrator("vode", method="bdf", rtol=rtol * scale, atol=atol * scale, nsteps=nsteps)
     r.set_initial_value(np.append(y0, 0.0), t0)
 
     def integrate(t: float) -> np.ndarray:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a failed call warns; r.successful() tells
+            # the wrapper warns of a failed call; r.successful() tells
+            warnings.filterwarnings("ignore", "vode: ", UserWarning)
             y = r.integrate(t)
         if failure:
             raise failure[0]
@@ -779,22 +785,21 @@ def _jacobian_transposed() -> bool:
     raise RuntimeError("scipy's VODE BDF solves the probe system with neither Jacobian layout")
 
 
-def solve_ivp(fun, t_span, y0, method="BDF", t_eval=None, rtol=1e-3, atol=1e-6,
-              vectorized=False) -> OdeResult:
+def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6, vectorized=True) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span with scipy's compiled VODE BDF
     (Brown, Byrne & Hindmarsh 1989) and return the states at t_eval
     (default: the end of the span).
 
     Takes the arguments of ``scipy.integrate.solve_ivp`` that simulate
-    uses. Each Jacobian is a forward difference from one call of fun on
-    the base state and all its perturbations (one call per state unless
-    vectorized), so fun runs nfev + njev times. An exception raised in fun
-    is re-raised as it is. A solver failure, including more than
-    ``_MAX_STEPS`` steps between two output times, returns success=False
-    with VODE's return code in the message and the outputs reached so far.
+    uses. ``vectorized`` is there for that call shape only: fun is always
+    given batches of states (N, k) as well as single states (N,), as scipy
+    does with vectorized=True. Each Jacobian is a forward difference from one
+    call of fun on the base state and all its perturbations, so fun runs
+    nfev + njev times. An exception raised in fun is re-raised as it is.
+    A solver failure, including more than ``_MAX_STEPS`` steps in one
+    ``_STEP_WINDOW`` of simulated time, returns success=False with VODE's
+    return code in the message and the outputs reached so far.
     """
-    if method != "BDF":
-        raise ValueError(f"only the BDF method is available, got {method!r}")
     transposed = _jacobian_transposed()
     t0, t1 = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
@@ -805,18 +810,24 @@ def solve_ivp(fun, t_span, y0, method="BDF", t_eval=None, rtol=1e-3, atol=1e-6,
         h = (y + _FD_STEP * np.maximum(np.abs(y), 1.0)) - y
         Y = np.repeat(y[:, None], y.size + 1, axis=1)
         Y[:, 1:] += np.diag(h)
-        F = fun(t, Y) if vectorized else np.column_stack([fun(t, c) for c in Y.T])
+        F = fun(t, Y)
         J = (F[:, 1:] - F[:, :1]) / h
         return J.T if transposed else J
 
     r, integrate = _vode(fun, jac, y0, t0, rtol, atol, _MAX_STEPS)
+    # VODE's step limit holds per call. It steps past each stop and
+    # interpolates back, so extra stops leave its steps as they are; only
+    # the first stop also sets the initial step size
+    stops = np.union1d(t_eval, np.arange(t0, t_eval[-1], _STEP_WINDOW))
     ys = np.empty((y0.size, t_eval.size))
     done = 0
-    for t in t_eval:
-        ys[:, done] = y0 if t == t0 else integrate(t)
+    for t in stops:
+        y = y0 if t == t0 else integrate(t)
         if not r.successful():
             break
-        done += 1
+        if t == t_eval[done]:
+            ys[:, done] = y
+            done += 1
     success = done == t_eval.size
     iwork = r._integrator.iwork
     return OdeResult(

@@ -626,7 +626,7 @@ class TestVodeDriver:
         A = STIFF_SYSTEMS[name]
         y0 = np.ones(A.shape[0])
         exact = expm(A) @ y0
-        sol = dyn.solve_ivp(linear(A), (0.0, 1.0), y0, rtol=1e-8, atol=1e-10, vectorized=True)
+        sol = dyn.solve_ivp(linear(A), (0.0, 1.0), y0, rtol=1e-8, atol=1e-10)
         assert sol.success
         np.testing.assert_allclose(sol.y[:, -1], exact, rtol=0.0, atol=1e-6 * np.abs(exact).max())
         assert sol.nfev < 1000
@@ -659,7 +659,7 @@ class TestVodeDriver:
             return A @ y
 
         sol = dyn.solve_ivp(fun, (0.0, 1.0), np.ones(3), t_eval=np.linspace(0.0, 1.0, 11),
-                            rtol=1e-8, atol=1e-10, vectorized=True)
+                            rtol=1e-8, atol=1e-10)
         assert sol.success and sol.t.tolist() == np.linspace(0.0, 1.0, 11).tolist()
         assert widths.count(1) == sol.nfev
         assert widths.count(4) == sol.njev > 0
@@ -679,7 +679,7 @@ class TestVodeDriver:
             return A @ y
 
         with pytest.raises(_Captured) as info:
-            dyn.solve_ivp(fun, (0.0, 1.0), np.ones(3), rtol=1e-8, atol=1e-10, vectorized=True)
+            dyn.solve_ivp(fun, (0.0, 1.0), np.ones(3), rtol=1e-8, atol=1e-10)
         assert callback == "jac" or info.value.args[0] > 0.1
 
     def test_stall_returns_failure_with_return_code(self):
@@ -691,9 +691,29 @@ class TestVodeDriver:
         assert sol.t[-1] < 1.0 < sol.t[-1] + 0.1 + 1e-12
         assert sol.y.shape == (1, sol.t.size)
 
-    def test_only_bdf(self):
-        with pytest.raises(ValueError, match="BDF"):
-            dyn.solve_ivp(linear(-np.eye(1)), (0.0, 1.0), [1.0], method="Radau")
+    def test_step_limit_counts_simulated_time(self):
+        # 200 periods in one output interval take about 14,000 steps, well
+        # above the limit, but under 20 per simulated millisecond
+        w = 2.0 * np.pi * 200.0
+        A = np.array([[0.0, 1.0], [-w * w, 0.0]])
+        sol = dyn.solve_ivp(linear(A), (0.0, 1.0), [1.0, 0.0], rtol=1e-6, atol=1e-9)
+        assert sol.success and sol.nst > dyn._MAX_STEPS
+        np.testing.assert_allclose(sol.y[:, -1] / [1.0, w], [1.0, 0.0], rtol=0.0, atol=1e-2)
+
+    def test_coarse_sample_rate_completes(self, small_design, short_plan, fast_sim,
+                                          monkeypatch):
+        # 100 steps per millisecond suffice at any output spacing (at 4 Hz
+        # one output interval takes more); VODE steps past each output time
+        # and interpolates back, so the outputs the two grids share agree
+        # bit for bit
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 100)
+        fine = dyn.simulate(small_design, short_plan, fast_sim)
+        coarse = dyn.simulate(small_design, short_plan, dataclasses.replace(fast_sim, sample_rate=4.0))
+        idx = np.rint(coarse.times * fast_sim.sample_rate).astype(int)
+        assert coarse.times.size == 3
+        np.testing.assert_allclose(fine.times[idx], coarse.times, rtol=1e-15)
+        np.testing.assert_array_equal(fine.q[idx], coarse.q)
+        np.testing.assert_array_equal(fine.dr_ee[idx], coarse.dr_ee)
 
     def test_step_limit_raises_simulation_error(self, small_design, short_plan, fast_sim,
                                                 monkeypatch):
