@@ -297,15 +297,18 @@ def cmd_pareto(points_csv, out):
                 raise ConfigError(f"points CSV is missing column '{col}'")
     except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
+    ids = np.atleast_1d(data["config"])
+    for c in ids:
+        # a blank or non-numeric cell reads as nan
+        if not (math.isfinite(c) and c == int(c) and c >= 1):
+            _fail(EXIT_INPUT, f"config id {_fmt(c)} is not an integer >= 1")
+    if np.unique(ids).size != ids.size:
+        _fail(EXIT_INPUT, "config ids must be unique")
     results = [
         CandidateResult(
             config=int(c), t1=0.0, t2=0.0, j_mass=float(jm), j_vib=float(jv)
         )
-        for c, jm, jv in zip(
-            np.atleast_1d(data["config"]),
-            np.atleast_1d(data["jm"]),
-            np.atleast_1d(data["jvib"]),
-        )
+        for c, jm, jv in zip(ids, np.atleast_1d(data["jm"]), np.atleast_1d(data["jvib"]))
     ]
     try:
         front = extract_front(results)

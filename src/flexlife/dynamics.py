@@ -16,11 +16,16 @@ conserves energy without dissipation.
 
 With the elastic coordinates frozen, M depends only on the shoulder and
 elbow angles and is a trigonometric polynomial of order <= 2 in each of
-them. Every model therefore samples the assembly once on a 5x5 grid of
-angles and keeps the 25 Fourier coefficient matrices; M and its analytic
-angle derivatives, which give the velocity forces, are read from that
-table. The constructor checks the table against the assembly at off-grid
-angles and refuses a model whose mass matrix carries a higher harmonic.
+them. The gravity potential is of order 1 in the same angles and bilinear
+in the elastic coordinates of the two links, i.e. a sum over the monomials
+(1, q_e1) x (1, q_e2). Every model therefore samples both once on a 5x5
+grid of angles and keeps one table of 25 Fourier coefficients holding M
+and the gravity monomial weights side by side. One read of that table
+gives M, its analytic angle derivatives (the velocity forces) and the
+gravity forces; the spring and damping forces are one constant linear map
+of (q, qd). The constructor checks the table against the assembly and the
+potential gradient at off-grid states and refuses a model whose mass
+matrix or gravity potential falls outside that form.
 
 Everything is assembled in the frame co-rotating with the base joint; the
 mass matrix is independent of q1 (cyclic coordinate) and gravity points
@@ -44,14 +49,18 @@ from .beam import curvature_map, stiffness_matrix
 from .trajectory import TrajectoryPlan
 
 _EX = np.array([1.0, 0.0, 0.0])
-# Mass-matrix table. The order-2 Fourier basis 1, cos q, cos 2q, sin q,
-# sin 2q is written as cos(k q - phase): one cosine gives the values and,
-# a quarter turn later and scaled by k, the derivatives. Five equispaced
-# angles determine such a polynomial; the constructor checks the table
-# against the assembly at the off-grid (q2, q3) pairs below.
+# Harmonic table of M and the gravity potential. The order-2 Fourier basis
+# 1, cos q, cos 2q, sin q, sin 2q is written as cos(k q - phase): one
+# cosine gives the values and, a quarter turn later and scaled by k, the
+# derivatives. Five equispaced angles determine such a polynomial; the
+# constructor checks the table at the off-grid (q2, q3) pairs below.
 _K = np.array([0.0, 1.0, 2.0, 1.0, 2.0])
 _PHASE = np.array([[0.0, 0.0, 0.0, 0.5, 0.5], [-0.5, -0.5, -0.5, 0.0, 0.0]]) * math.pi
 _SCALE = np.stack([np.ones(5), _K])
+# the table is read as values, d/dq2 and d/dq3: products of the q2 rows
+# (values, derivatives, values) and the q3 rows (values, values, derivatives)
+_READS = np.array([[0, 1, 0], [0, 0, 1]])
+_READ_PHASE, _READ_SCALE = _PHASE[_READS], _SCALE[_READS]
 _GRID = 2.0 * math.pi * np.arange(5) / 5.0
 _CHECK_ANGLES = np.array([[0.3, 1.1], [-1.7, -0.4], [2.9, 5.6], [4.1, -2.6], [-5.3, 0.9]])
 _TABLE_RTOL = 1e-12
@@ -172,9 +181,12 @@ class GeneralizedState:
             raise ValueError("q and qd must be 1-d arrays of equal length")
 
 
-def _harmonics(q) -> np.ndarray:
-    """Fourier basis at the angles q (rows: values, derivatives); (..., 2, 5)."""
-    return _SCALE * np.cos(np.multiply.outer(q, _K)[..., None, :] - _PHASE)
+def _harmonics(q23) -> np.ndarray:
+    """Products of the Fourier bases of q2 and q3 at the angle pairs q23
+    (..., 2) that read values, d/dq2 and d/dq3 from the table; (..., 3, 25)."""
+    U = _READ_SCALE * np.cos(q23[..., :, None, None] * _K - _READ_PHASE)
+    basis = U[..., 0, :, :, None] * U[..., 1, :, None, :]
+    return basis.reshape(basis.shape[:-2] + (25,))
 
 
 def _roty(q: np.ndarray) -> np.ndarray:
@@ -294,19 +306,43 @@ class RobotModel:
         self.curv2 = curvature_map(spec2, design.links[1].xi_crit)
         # gravity weight on the link-1 tip path (hub, second beam, payload)
         self._m_tip = design.hub2_mass + self.beam2.mb + design.payload_mass
-        # M(q2, q3) = sum_jk A_jk u_j(q2) u_k(q3): 5-point real DFT of the
-        # assembly along each angle
-        samples = self.mass_matrix_batch(_GRID[:, None], _GRID[None, :])
-        dft = np.linalg.inv(_harmonics(_GRID)[:, 0])
-        table = np.einsum("jp,kr,prxy->jkxy", dft, dft, samples)
-        self._table = table.reshape(25, self.n**2)
-        ref = self.mass_matrix_batch(_CHECK_ANGLES[:, 0], _CHECK_ANGLES[:, 1])
-        err = np.abs(self._from_table(_CHECK_ANGLES)[:, 0] - ref).max() / np.abs(ref).max()
-        if not err <= _TABLE_RTOL:
-            raise ValueError(
-                f"mass matrix is not an order-2 trigonometric polynomial in the joint "
-                f"angles (table residual {err:.2e} > {_TABLE_RTOL:.0e})"
-            )
+        # spring and damping forces K q + D qd of the gears and beams as one
+        # map of x = (q, qd): x @ self._linear, with K and D symmetric
+        KD = np.zeros((2, self.n, self.n))
+        for k, per_joint in enumerate((self.k_gear, self.d_gear)):
+            gear = np.diag(per_joint)
+            KD[k, :6, :6] = np.block([[gear, -gear], [-gear, gear]])
+        for beam, sl, link in ((self.beam1, self.sl1, design.links[0]),
+                               (self.beam2, self.sl2, design.links[1])):
+            KD[0, sl, sl] = beam.K
+            KD[1, sl, sl] = link.damping_beta * beam.K
+        self._linear = KD.reshape(2 * self.n, self.n)
+        # M(q2, q3) = sum_jk A_jk u_j(q2) u_k(q3) and V_grav = sum_jk u_j(q2)
+        # u_k(q3) e1^T C_jk e2 with e = (1, q_e) of each link: 5-point real
+        # DFT of the samples along each angle
+        M_grid = self.mass_matrix_batch(_GRID[:, None], _GRID[None, :])
+        samples = np.concatenate(
+            (M_grid.reshape(5, 5, -1), self._gravity_monomials().reshape(5, 5, -1)), axis=-1
+        )
+        dft = np.linalg.inv(np.cos(np.multiply.outer(_GRID, _K) - _PHASE[0]))
+        self._table = np.einsum("jp,kr,prc->jkc", dft, dft, samples).reshape(25, -1)
+        # off-grid check states: the check angles, twisted gears and small
+        # non-zero elastic coordinates
+        Q = np.zeros((len(_CHECK_ANGLES), self.n))
+        Q[:, :3] = 0.01 * np.cos(np.arange(3) + 0.5)
+        Q[:, 4:6] = _CHECK_ANGLES
+        Q[:, 6:] = 1e-3 * np.cos(np.add.outer(np.arange(len(Q)), 1.3 * np.arange(self.n - 6)))
+        M, f = self.mass_and_forces(np.concatenate((Q, np.zeros_like(Q)), axis=-1))
+        for what, value, ref in (
+            ("mass matrix is not an order-2 trigonometric polynomial in the joint angles",
+             M, self.mass_matrix_batch(Q[:, 4], Q[:, 5])),
+            ("gravity potential is not an order-2 trigonometric polynomial in the joint "
+             "angles, bilinear in the elastic coordinates of the two links",
+             -f, self.potential_grad(Q)),
+        ):
+            err = np.abs(value - ref).max() / np.abs(ref).max()
+            if not err <= _TABLE_RTOL:
+                raise ValueError(f"{what} (table residual {err:.2e} > {_TABLE_RTOL:.0e})")
 
     # ----- mass matrix -------------------------------------------------
 
@@ -374,23 +410,47 @@ class RobotModel:
         M += self.design.payload_mass * _t(J_pl) @ J_pl
         return M
 
-    def _from_table(self, q23: np.ndarray) -> np.ndarray:
-        """M, dM/dq2 and dM/dq3 at the angle pairs q23 (..., 2) read from
-        the Fourier table; (..., 3, n, n)."""
-        H = _harmonics(q23)
-        left = H[..., 0, [0, 1, 0], :]  # u(q2), u'(q2), u(q2)
-        right = H[..., 1, [0, 0, 1], :]  # u(q3), u(q3), u'(q3)
-        basis = left[..., :, None] * right[..., None, :]
-        lead = basis.shape[:-2]
-        return (basis.reshape(lead + (25,)) @ self._table).reshape(lead + (self.n, self.n))
-
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
-        return self._from_table(np.asarray(q, dtype=float)[4:6])[0]
+        return self.mass_gradients(q)[0]
 
     def mass_gradients(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M, dM/dq2, dM/dq3) from the Fourier table; q may be a batch (..., n)."""
-        out = self._from_table(np.asarray(q, dtype=float)[..., 4:6])
+        rows = (_harmonics(np.asarray(q, dtype=float)[..., 4:6]) @ self._table)[..., : self.n**2]
+        out = rows.reshape(rows.shape[:-1] + (self.n, self.n))
         return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
+
+    def mass_and_forces(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mass matrix M and generalised force f of the states x = (q, qd)
+        (..., 2n): f = -h - g - D qd holds every force but the drive
+        torques, with the velocity forces h = Mdot qd - 1/2 qd^T (dM/dq) qd,
+        the potential gradient g and the gear and beam damping D qd.
+
+        One read of the harmonic table gives M, dM/dq2, dM/dq3 and the
+        gravity monomial weights C, dC/dq2, dC/dq3; V_grav = e1^T C e2 over
+        e = (1, q_e) of each link. M is (..., n, n) and f (..., n).
+        """
+        x = np.asarray(x, dtype=float)
+        n, n2 = self.n, self.n**2
+        q, qd = x[..., :n], x[..., n:]
+        rows = _harmonics(q[..., 4:6]) @ self._table  # values, d/dq2, d/dq3 of each column
+        lead = rows.shape[:-2]
+        M = rows[..., 0, :n2].reshape(lead + (n, n))
+        dM = rows[..., 1:, :n2].reshape(lead + (2, n, n))
+        C = rows[..., n2:].reshape(lead + (3, 1 + self.m1, 1 + self.m2))
+        # gravity: dV/dq2 and dV/dq3 are e1^T (dC/dq) e2; dV/dq_e1 and dV/dq_e2
+        # are the q_e entries of C e2 and e1^T C
+        one = np.ones(lead + (1,))
+        e1 = np.concatenate((one, q[..., self.sl1]), axis=-1)
+        e2 = np.concatenate((one, q[..., self.sl2]), axis=-1)
+        Ce2 = (C @ e2[..., None, :, None])[..., 0]
+        g23 = (Ce2[..., 1:, :] @ e1[..., :, None])[..., 0]
+        # h = qd2 (dM/dq2) qd + qd3 (dM/dq3) qd, less 1/2 qd^T (dM/dq) qd on q2, q3
+        Mqd = (dM @ qd[..., None, :, None])[..., 0]
+        f = -(x @ self._linear) - (qd[..., None, 4:6] @ Mqd)[..., 0, :]
+        f[..., 4:6] += 0.5 * (Mqd @ qd[..., :, None])[..., 0] - g23
+        f[..., self.sl1] -= Ce2[..., 0, 1:]
+        f[..., self.sl2] -= (e1[..., None, :] @ C[..., 0, :, 1:])[..., 0, :]
+        return M, f
 
     # ----- potential energy and its gradient ---------------------------
 
@@ -413,19 +473,39 @@ class RobotModel:
         u2 = self.beam2.s1 * _EX + qe2 @ self.beam2.P0.T + self.design.payload_mass * r2
         return R2, R3, S1, R2 @ S1 @ R3, r1, r2, h1, u2
 
+    def _gravity_potential(self, q: np.ndarray) -> np.ndarray:
+        """Gravity potential of the states q (..., n); (...)."""
+        R2, _, _, A2, r1, _, h1, u2 = self._tip_frames(q)
+        weighted = R2 @ (h1 + self._m_tip * r1)[..., None] + A2 @ u2[..., None]
+        return weighted[..., 0] @ -self.gravity
+
+    def _gravity_monomials(self) -> np.ndarray:
+        """Weights C of V_grav = e1^T C e2, e = (1, q_e) of each link, on the
+        5x5 angle grid; (5, 5, 1 + m1, 1 + m2).
+
+        V_grav is bilinear in (q_e1, q_e2), so its values at q_e = 0, at
+        the unit vectors and at the unit pairs give C exactly by
+        differences, e.g. C_ij = V(u_i + u_j) - V(u_i) - V(u_j) + V(0).
+        """
+        Q = np.zeros((5, 5, 1 + self.m1, 1 + self.m2, self.n))
+        Q[..., 4] = _GRID[:, None, None, None]
+        Q[..., 5] = _GRID[None, :, None, None]
+        Q[..., self.sl1] = np.eye(1 + self.m1, self.m1, -1)[:, None, :]  # 0, unit vectors
+        Q[..., self.sl2] = np.eye(1 + self.m2, self.m2, -1)
+        C = self._gravity_potential(Q)
+        C[..., 1:, :] -= C[..., :1, :]
+        C[..., 1:] -= C[..., :1]
+        return C
+
     def potential(self, q: np.ndarray) -> float:
         """Gravity + beam strain + gear spring energy (zero at the
         horizontal undeformed rest pose)."""
         qM, qL = q[:3], q[3:6]
         qe1, qe2 = q[self.sl1], q[self.sl2]
-        R2, _, _, A2, r1, _, h1, u2 = self._tip_frames(q)
-        c = -self.gravity
-        weighted = R2 @ (h1 + self._m_tip * r1) + A2 @ u2
-        v_grav = c @ weighted
         v_elastic = 0.5 * (qe1 @ self.beam1.K @ qe1 + qe2 @ self.beam2.K @ qe2)
         dq_gear = qM - qL
         v_gear = 0.5 * float(self.k_gear @ dq_gear**2)
-        return float(v_grav) + v_elastic + v_gear
+        return float(self._gravity_potential(q)) + v_elastic + v_gear
 
     def potential_grad(self, q: np.ndarray) -> np.ndarray:
         """Analytic gradient of :meth:`potential` (the vector g); q may be a
@@ -486,21 +566,7 @@ class RobotModel:
 
 
 # ---------------------------------------------------------------------------
-# public EOM / energy API
-
-
-def eom(model: RobotModel, q: np.ndarray, qd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mass matrix M(q) and velocity-force vector h = Mdot qd - 1/2 qd^T (dM/dq) qd.
-
-    q and qd may be batches (..., n); M is (..., n, n) and h (..., n).
-    """
-    M, dM2, dM3 = model.mass_gradients(q)
-    qd = np.asarray(qd, dtype=float)
-    Mdot = dM2 * qd[..., 4, None, None] + dM3 * qd[..., 5, None, None]
-    h = (Mdot @ qd[..., None])[..., 0]
-    h[..., 4] -= 0.5 * (qd[..., None, :] @ dM2 @ qd[..., None])[..., 0, 0]
-    h[..., 5] -= 0.5 * (qd[..., None, :] @ dM3 @ qd[..., None])[..., 0, 0]
-    return M, h
+# energy
 
 
 def energy(model: RobotModel, state: GeneralizedState) -> tuple[float, float]:
@@ -595,9 +661,11 @@ class SimulationResult:
     t_task: float
     t_settle: float
     # run record, never written to the output files: the solver counts
-    # nfev, njev, nlu and steps, and the wall seconds of the stages
-    # presolve_s (model build, equilibrium, periods, feedforward), solve_s
-    # and postsolve_s
+    # nfev, njev, nlu and steps; the free-gradient norm at the initial state
+    # equilibrium_residual and the Newton steps equilibrium_iterations of
+    # its equilibrium solve (0 when none runs); and the wall seconds of the
+    # stages presolve_s (model build, equilibrium, periods, feedforward),
+    # solve_s and postsolve_s
     stats: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -617,9 +685,10 @@ def _free_jacobian(model: RobotModel, q: np.ndarray, g_free: np.ndarray, h: floa
     return ((model.potential_grad(Q)[:, 3:] - g_free) / h).T
 
 
-def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> np.ndarray:
+def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarray, int]:
     """Full coordinate vector with (q_L, q_e) in static equilibrium while
-    the motors hold q_motor (gear springs carry the gravity load).
+    the motors hold q_motor (gear springs carry the gravity load), and the
+    number of Newton steps taken.
 
     Newton's method stops when the free gradient norm is below 1e-9 or,
     for a model so stiff that roundoff keeps the gradient above that, when
@@ -629,14 +698,14 @@ def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> np.ndarray:
     q = np.zeros(model.n)
     q[:3] = q_motor
     q[3:6] = q_motor
-    for _ in range(50):
+    for steps in range(50):
         r = model.potential_grad(q)[3:]
         if np.linalg.norm(r) < 1e-9:
-            return q
+            return q, steps
         step = np.linalg.solve(_free_jacobian(model, q, r, 1e-7), r)
         q[3:] -= step
         if np.linalg.norm(step) < 1e-12:
-            return q
+            return q, steps + 1
     residual = np.linalg.norm(model.potential_grad(q)[3:])
     raise SimulationError(
         f"static equilibrium not found in 50 Newton steps (residual norm {residual:.3e})"
@@ -670,10 +739,8 @@ def _feedforward_table(
     S = np.zeros((model.n, 3))
     S[:3] = np.eye(3)
     S[3:6] = np.eye(3)
-    q_full = qdes @ S.T
-    M, gyro = eom(model, q_full, qddes @ S.T)
-    g = model.potential_grad(q_full)
-    tau = ((M @ (qdddes @ S.T)[..., None])[..., 0] + gyro + g) @ S
+    M, f = model.mass_and_forces(np.concatenate((qdes @ S.T, qddes @ S.T), axis=-1))
+    tau = ((M @ (qdddes @ S.T)[..., None])[..., 0] - f) @ S
     return ts, tau
 
 
@@ -858,11 +925,13 @@ def simulate(
 
     controlled = settings.gains is not None
     if settings.initial_elastic == "static" and np.any(model.gravity != 0.0):
-        q0 = static_equilibrium(model, q_pick)
+        q0, newton_steps = static_equilibrium(model, q_pick)
     else:
         q0 = np.zeros(n)
         q0[:3] = q_pick
         q0[3:6] = q_pick
+        newton_steps = 0
+    residual = float(np.linalg.norm(model.potential_grad(q0)[3:]))
 
     t_settle = settings.t_settle
     if t_settle is None:
@@ -889,23 +958,12 @@ def simulate(
         x0[mask] = hold[mask] / ki[mask]
         y0[2 * n :] = x0
 
-    beta1, beta2 = design.links[0].damping_beta, design.links[1].damping_beta
-
     def rhs(t, y):
         # y is one state (N,) or, for the solver's Jacobian, a batch (N, k);
         # Y holds one state per row
         Y = y.T
-        q = Y[..., :n]
+        M, force = model.mass_and_forces(Y[..., : 2 * n])
         qd = Y[..., n : 2 * n]
-        M, gyro = eom(model, q, qd)
-        force = -gyro - model.potential_grad(q)
-        damp = model.d_gear * (qd[..., :3] - qd[..., 3:6])
-        force[..., :3] -= damp
-        force[..., 3:6] += damp
-        if beta1:
-            force[..., model.sl1] -= beta1 * (qd[..., model.sl1] @ model.beam1.K)
-        if beta2:
-            force[..., model.sl2] -= beta2 * (qd[..., model.sl2] @ model.beam2.K)
         out = np.empty_like(Y)
         if controlled:
             q_des, qd_des, _ = plan.sample(t)
@@ -913,7 +971,7 @@ def simulate(
             if tau_ff_t is not None:
                 ff = np.array([np.interp(t, tau_ff_t, tau_ff_v[:, i]) for i in range(3)])
             tau, e_v = controller(
-                settings.gains, q[..., :3], qd[..., :3], q_des, qd_des, Y[..., 2 * n :], ff,
+                settings.gains, Y[..., :3], qd[..., :3], q_des, qd_des, Y[..., 2 * n :], ff,
                 model.tau_limit,
             )
             force[..., :3] += tau
@@ -961,6 +1019,8 @@ def simulate(
             "njev": sol.njev,
             "nlu": sol.nlu,
             "steps": sol.nst,
+            "equilibrium_residual": residual,
+            "equilibrium_iterations": newton_steps,
             "presolve_s": t_solve - t_start,
             "solve_s": t_post - t_solve,
             "postsolve_s": time.perf_counter() - t_post,

@@ -259,6 +259,31 @@ class TestParetoCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["front"] == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["1", "", "3"], "nan"),  # a blank cell used to crash in int(nan)
+            (["1", "nan", "3"], "nan"),
+            (["1", "inf", "3"], "inf"),
+            (["1.7", "1.2", "3"], "1.7"),  # used to truncate both to 1
+            (["1", "2.5", "3"], "2.5"),
+            (["0", "2", "3"], "0.0"),
+            (["-1", "2", "3"], "-1.0"),
+            (["1", "2", "1"], "unique"),
+        ],
+    )
+    def test_bad_config_ids_exit_2(self, runner, tmp_path, ids, message):
+        csv_path = tmp_path / "points.csv"
+        csv_path.write_text(
+            "config,jm,jvib\n" + "".join(f"{c},{k},{3 - k}\n" for k, c in enumerate(ids))
+        )
+        out = tmp_path / "front.json"
+        result = runner.invoke(main, ["pareto", str(csv_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_tiny_sweep_outputs(self, runner, tmp_path):

@@ -36,10 +36,13 @@ class TestAssembly:
             np.linalg.cholesky(M)
 
     def test_velocity_forces_vanish_at_rest(self, small_design, model):
+        # at rest the forces are the potential gradient alone
         rng = np.random.default_rng(1)
         q = rng.normal(0.0, 0.5, model.n)
-        _, gyro = dyn.eom(model, q, np.zeros(model.n))
-        np.testing.assert_allclose(gyro, 0.0, atol=1e-15)
+        q[6:] *= 1e-2
+        _, f = model.mass_and_forces(np.concatenate((q, np.zeros(model.n))))
+        g = model.potential_grad(q)
+        np.testing.assert_allclose(-f, g, rtol=0.0, atol=1e-13 * np.abs(g).max())
 
     def test_gravity_off_aligned_gears_zero_gradient(self, small_design):
         design = gravity_off(small_design)
@@ -95,15 +98,15 @@ class TestAssembly:
             np.testing.assert_allclose(model.mass_matrix(q), M_ref, rtol=0.0,
                                        atol=1e-12 * np.abs(M_ref).max())
 
-    def test_eom_batch_matches_single_states(self, model):
+    def test_mass_and_forces_batch_matches_single_states(self, model):
         rng = np.random.default_rng(6)
-        Q = rng.normal(0.0, 1.0, (5, model.n))
-        Qd = rng.normal(0.0, 2.0, (5, model.n))
-        M, h = dyn.eom(model, Q, Qd)
+        X = rng.normal(0.0, 1.0, (5, 2 * model.n))
+        X[:, model.n :] *= 2.0
+        M, f = model.mass_and_forces(X)
         for k in range(5):
-            M_k, h_k = dyn.eom(model, Q[k], Qd[k])
+            M_k, f_k = model.mass_and_forces(X[k])
             np.testing.assert_array_equal(M[k], M_k)
-            np.testing.assert_allclose(h[k], h_k, rtol=0.0, atol=1e-12 * np.abs(h_k).max())
+            np.testing.assert_allclose(f[k], f_k, rtol=0.0, atol=1e-12 * np.abs(f_k).max())
 
     def test_mass_table_rejects_third_harmonic(self, small_design, monkeypatch):
         assembly = dyn.RobotModel.mass_matrix_batch
@@ -411,11 +414,28 @@ class TestSimulate:
         assert res.q.shape == (res.times.size, n)
         assert res.kappa1.shape == (res.times.size, 3)
         assert res.times[-1] == pytest.approx(short_plan.t_task + fast_sim.t_settle, abs=2e-3)
-        counts = {"nfev", "njev", "nlu", "steps"}
-        stages = {"presolve_s", "solve_s", "postsolve_s"}
+        counts = {"nfev", "njev", "nlu", "steps", "equilibrium_iterations"}
+        stages = {"presolve_s", "solve_s", "postsolve_s", "equilibrium_residual"}
         assert set(res.stats) == counts | stages
         assert all(isinstance(res.stats[k], int) and res.stats[k] > 0 for k in counts)
         assert all(isinstance(res.stats[k], float) and res.stats[k] >= 0.0 for k in stages)
+
+    @pytest.mark.parametrize("initial", ["static", "zero"])
+    def test_stats_record_the_equilibrium(self, small_design, short_plan, fast_sim, initial):
+        settings = dataclasses.replace(fast_sim, initial_elastic=initial)
+        stats = dyn.simulate(small_design, short_plan, settings).stats
+        model = dyn.RobotModel(small_design)
+        if initial == "static":
+            q0, steps = dyn.static_equilibrium(model, short_plan.q_pick)
+            assert stats["equilibrium_iterations"] == steps > 0
+            assert stats["equilibrium_residual"] < 1e-9
+        else:
+            # released from the undeformed pose: gravity is not balanced
+            q0 = np.concatenate((short_plan.q_pick, short_plan.q_pick, np.zeros(model.n - 6)))
+            assert stats["equilibrium_iterations"] == 0
+            assert stats["equilibrium_residual"] > 1.0
+        residual = np.linalg.norm(model.potential_grad(q0)[3:])
+        assert stats["equilibrium_residual"] == pytest.approx(residual, rel=1e-12)
 
     def test_controller_runs_only_inside_the_solver(
         self, small_design, short_plan, fast_sim, monkeypatch
@@ -504,13 +524,14 @@ class TestSimulate:
 
     def test_static_equilibrium_balances_gradient(self, small_design):
         model = dyn.RobotModel(small_design)
-        q = dyn.static_equilibrium(model, np.array([0.2, 0.6, -1.0]))
+        q, steps = dyn.static_equilibrium(model, np.array([0.2, 0.6, -1.0]))
+        assert 0 < steps < 50
         g = model.potential_grad(q)
         assert np.abs(g[3:]).max() < 1e-8
 
     def test_linearized_periods_positive(self, small_design):
         model = dyn.RobotModel(small_design)
-        q = dyn.static_equilibrium(model, np.array([0.0, 0.5, -0.8]))
+        q, _ = dyn.static_equilibrium(model, np.array([0.0, 0.5, -0.8]))
         periods = dyn.linearized_periods(model, q)
         assert np.all(periods > 0.0)
         assert periods.size == model.n - 3
@@ -544,13 +565,19 @@ def captured_rhs(design, plan, settings, monkeypatch):
 
 
 def indefinite_mass(monkeypatch):
-    real = dyn.RobotModel.mass_gradients
+    """Models built from here on return -M from mass_and_forces; their
+    constructor's table check still sees the true M."""
+    build, real = dyn.RobotModel.__init__, dyn.RobotModel.mass_and_forces
 
-    def negated(self, q):
-        M, dM2, dM3 = real(self, q)
-        return -M, dM2, dM3
+    def negated(self, x):
+        M, f = real(self, x)
+        return -M, f
 
-    monkeypatch.setattr(dyn.RobotModel, "mass_gradients", negated)
+    def init(self, design):
+        build(self, design)
+        self.mass_and_forces = negated.__get__(self)
+
+    monkeypatch.setattr(dyn.RobotModel, "__init__", init)
 
 
 class TestBatchedPaths:
@@ -574,7 +601,7 @@ class TestBatchedPaths:
     @pytest.mark.parametrize("h", [1e-7, 1e-6])
     def test_free_jacobian_matches_per_column_loop(self, small_design, h):
         model = dyn.RobotModel(demo_modes(small_design))
-        q = dyn.static_equilibrium(model, np.array([0.2, 0.6, -1.0]))
+        q, _ = dyn.static_equilibrium(model, np.array([0.2, 0.6, -1.0]))
         g_free = model.potential_grad(q)[3:]
         loop = np.empty((model.n - 3, model.n - 3))
         for k in range(model.n - 3):
@@ -599,6 +626,100 @@ class TestBatchedPaths:
             tol = 1e-13 * np.abs(col).max()
             np.testing.assert_allclose(batch[:, k], col, rtol=0.0, atol=tol)
             np.testing.assert_allclose(rhs(0.05, Y[:, k]), col, rtol=0.0, atol=tol)
+
+
+def oracle_forces(model, design, Q, Qd):
+    """Every generalised force but the drive torques, term by term from the
+    oracles: the velocity forces from mass_gradients, the potential
+    gradient (gravity, beams, gear springs) from potential_grad and the
+    gear and beam damping from the design."""
+    M, dM2, dM3 = model.mass_gradients(Q)
+    Mdot = dM2 * Qd[..., 4, None, None] + dM3 * Qd[..., 5, None, None]
+    h = (Mdot @ Qd[..., None])[..., 0]
+    h[..., 4] -= 0.5 * np.einsum("...i,...ij,...j->...", Qd, dM2, Qd)
+    h[..., 5] -= 0.5 * np.einsum("...i,...ij,...j->...", Qd, dM3, Qd)
+    f = -h - model.potential_grad(Q)
+    damp = np.array([d.damping for d in design.drives]) * (Qd[..., :3] - Qd[..., 3:6])
+    f[..., :3] -= damp
+    f[..., 3:6] += damp
+    for link, sl, K in ((design.links[0], model.sl1, model.beam1.K),
+                        (design.links[1], model.sl2, model.beam2.K)):
+        f[..., sl] -= link.damping_beta * (Qd[..., sl] @ K)
+    return M, f
+
+
+class TestMassAndForces:
+    """RobotModel.mass_and_forces, the one table read of the RHS, against
+    the oracles it replaces. Tolerance: 1e-13 of the largest entry of each
+    state (measured: about 2e-16)."""
+
+    @pytest.mark.parametrize("modes", ["small", "demo"])
+    def test_matches_oracles_on_random_states(self, small_design, modes):
+        design = small_design if modes == "small" else demo_modes(small_design)
+        model = dyn.RobotModel(design)
+        rng = np.random.default_rng(41)
+        Q = rng.normal(0.0, 1.0, (200, model.n))
+        Q[:100, 4:6] = rng.uniform(-15.0, 15.0, (100, 2))  # well past one turn
+        Q[:, 6:] *= 1e-2
+        Qd = rng.normal(0.0, 2.0, (200, model.n))
+        X = np.concatenate((Q, Qd), axis=-1)
+        M_ref, f_ref = oracle_forces(model, design, Q, Qd)
+        M, f = model.mass_and_forces(X)
+        assert M.shape == M_ref.shape and f.shape == f_ref.shape
+        np.testing.assert_array_equal(M, M_ref)
+        for k in range(Q.shape[0]):
+            tol = 1e-13 * np.abs(f_ref[k]).max()
+            np.testing.assert_allclose(f[k], f_ref[k], rtol=0.0, atol=tol)
+            M_k, f_k = model.mass_and_forces(X[k])
+            np.testing.assert_array_equal(M_k, M_ref[k])
+            np.testing.assert_allclose(f_k, f_ref[k], rtol=0.0, atol=tol)
+
+    def test_gravity_table_rejects_quadratic_elastic_term(self, small_design, monkeypatch):
+        # an extra gravity energy 1e-6 q_e1[0]^2, with its exact gradient in
+        # the oracle: the table is bilinear in (q_e1, q_e2) and cannot hold it
+        potential, gradient = dyn.RobotModel._gravity_potential, dyn.RobotModel.potential_grad
+
+        def with_square(self, q):
+            return potential(self, q) + 1e-6 * q[..., self.sl1.start] ** 2
+
+        def with_square_grad(self, q):
+            g = gradient(self, q)
+            g[..., self.sl1.start] += 2e-6 * q[..., self.sl1.start]
+            return g
+
+        monkeypatch.setattr(dyn.RobotModel, "_gravity_potential", with_square)
+        monkeypatch.setattr(dyn.RobotModel, "potential_grad", with_square_grad)
+        with pytest.raises(ValueError, match="bilinear"):
+            dyn.RobotModel(small_design)
+
+    def test_solve_reads_no_oracle(self, small_design, short_plan, fast_sim, monkeypatch):
+        solving = []
+        calls = {"potential_grad": 0, "mass_gradients": 0, "solving": 0}
+        real_solver = dyn.solve_ivp
+
+        def solver(*args, **kwargs):
+            solving.append(True)
+            try:
+                return real_solver(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        def counted(name):
+            real = getattr(dyn.RobotModel, name)
+
+            def call(self, q):
+                calls[name] += 1
+                calls["solving"] += bool(solving)
+                return real(self, q)
+
+            return call
+
+        monkeypatch.setattr(dyn, "solve_ivp", solver)
+        for name in ("potential_grad", "mass_gradients"):
+            monkeypatch.setattr(dyn.RobotModel, name, counted(name))
+        dyn.simulate(small_design, short_plan, fast_sim)
+        assert calls["potential_grad"] > 0  # the presolve still uses the oracle
+        assert calls["solving"] == 0
 
 
 def linear(A):
@@ -774,7 +895,7 @@ class TestMassMatrixGuard:
         # VODE's f sees (the Jacobian calls are batches), so the guard trips
         # inside f, whose exceptions VODE does not propagate
         now = [0.0]
-        real_solver, real_mass = dyn.solve_ivp, dyn.RobotModel.mass_gradients
+        real_solver, real_mass = dyn.solve_ivp, dyn.RobotModel.mass_and_forces
 
         def solver(fun, *args, **kwargs):
             def timed(t, y):
@@ -783,12 +904,12 @@ class TestMassMatrixGuard:
 
             return real_solver(timed, *args, **kwargs)
 
-        def mass_gradients(self, q):
-            M, dM2, dM3 = real_mass(self, q)
-            return (-M if q.ndim == 1 and now[0] > 0.05 else M), dM2, dM3
+        def mass_and_forces(self, x):
+            M, f = real_mass(self, x)
+            return (-M if x.ndim == 1 and now[0] > 0.05 else M), f
 
         monkeypatch.setattr(dyn, "solve_ivp", solver)
-        monkeypatch.setattr(dyn.RobotModel, "mass_gradients", mass_gradients)
+        monkeypatch.setattr(dyn.RobotModel, "mass_and_forces", mass_and_forces)
         with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
             dyn.simulate(small_design, short_plan, fast_sim)
         assert not isinstance(info.value, ValueError)
@@ -796,8 +917,8 @@ class TestMassMatrixGuard:
 
     def test_batched_call_raises_simulation_error(self, small_design, short_plan, fast_sim,
                                                   monkeypatch):
-        rhs, y0 = captured_rhs(small_design, short_plan, fast_sim, monkeypatch)
         indefinite_mass(monkeypatch)
+        rhs, y0 = captured_rhs(small_design, short_plan, fast_sim, monkeypatch)
         Y = np.repeat(y0[:, None], 35, axis=1)
         with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
             rhs(0.25, Y)
