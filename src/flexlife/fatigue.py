@@ -7,6 +7,15 @@ sigma_Da) gives the allowable cycle count for the bin's amplitude, and the
 increments accumulate linearly (Palmgren-Miner). The damage is maximized
 over a set of cutting-plane angles; the lifetime of one task execution of
 duration t_task is t_task / D_max.
+
+The Tresca history of the plane at phi + pi/2 is the negated history of
+the plane at phi, and a negated history has exactly the negated rainflow
+cycles: the same amplitudes and weights with negated means. When the
+angle set pairs its planes that way, as ``angle_grid(n)`` does for odd
+n > 1, only the first (n + 1) / 2 planes are counted; each partner plane
+reuses its count with negated means. Every plane is still binned and
+accumulated on its own, because the Haigh clamp gives no credit to
+negative means, so partner planes differ in damage.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from .stress import StressHistory, tresca_history
 
 N_LCF_DEFAULT = 2.0e4
 N_HCF_DEFAULT = 2.0e6
+# angles[k + h] - angles[k] may miss pi/2 by this much and still pair planes
+_PAIR_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,22 @@ class DamageReport:
     t_task: float
     t_life_seconds: float  # inf when no damage accumulates
     finite_life: bool
+    critical_cycles: float  # total cycle weight counted on the critical plane
 
     @property
     def t_life_hours(self) -> float:
         return self.t_life_seconds / 3600.0
+
+
+def _quarter_turn_offset(angles: np.ndarray) -> int:
+    """h with angles[k + h] = angles[k] + pi/2 for every k (n = 2h + 1
+    angles), else 0: the index offset of each plane's partner."""
+    n = angles.size
+    h = (n - 1) // 2
+    if n % 2 == 0 or h == 0:
+        return 0
+    gaps = angles[h:] - angles[: h + 1]
+    return h if np.all(np.abs(gaps - 0.5 * math.pi) <= _PAIR_ATOL) else 0
 
 
 def critical_plane_lifetime(
@@ -161,20 +184,32 @@ def critical_plane_lifetime(
     For every angle the Tresca equivalent history is rainflow-counted,
     binned and accumulated; the worst plane defines D_max and the
     lifetime t_task / D_max (infinite if nothing exceeds the fatigue
-    strength).
+    strength). A plane pi/2 after a counted one reuses its cycles with
+    negated means (see the module docstring).
     """
     angles = np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("angle set must not be empty")
-    if t_task <= 0.0:
-        raise ValueError("t_task must be positive")
+    if not (math.isfinite(t_task) and t_task > 0.0):
+        raise ValueError(f"t_task must be positive and finite, got {t_task}")
+    h = _quarter_turn_offset(angles)
     damage = np.empty(angles.size)
-    for k, phi in enumerate(angles):
-        equivalent = tresca_history(history, phi)
+    cycle_weight = np.empty(angles.size)
+
+    def score(j: int, cycles: rainflow.CycleSet) -> None:
+        matrix = rainflow.bin_cycles(cycles, n_mean_bins, n_amp_bins)
+        damage[j] = accumulate(matrix, mat)
+        cycle_weight[j] = cycles.total_weight
+
+    for k in range(angles.size - h):
+        equivalent = tresca_history(history, angles[k])
         series = rainflow.extract_extrema(history.times, equivalent, hysteresis_gate)
         cycles = rainflow.count_cycles(series, include_residue=include_residue)
-        matrix = rainflow.bin_cycles(cycles, n_mean_bins, n_amp_bins)
-        damage[k] = accumulate(matrix, mat)
+        score(k, cycles)
+        if h and k > 0:
+            score(k + h, rainflow.CycleSet(
+                mean=-cycles.mean, amplitude=cycles.amplitude, weight=cycles.weight
+            ))
     k_max = int(np.argmax(damage))
     d_max = float(damage[k_max])
     finite = d_max > 0.0
@@ -186,4 +221,5 @@ def critical_plane_lifetime(
         t_task=float(t_task),
         t_life_seconds=(t_task / d_max) if finite else math.inf,
         finite_life=finite,
+        critical_cycles=float(cycle_weight[k_max]),
     )

@@ -153,7 +153,7 @@ def count_cycles(series: ExtremaSeries, include_residue: bool = True) -> CycleSe
     counted as half cycles of weight 0.5 unless disabled.
     """
     buf: list[float] = []
-    ranges: list[tuple[float, float, float]] = []  # (from, to, weight)
+    ranges: list[float] = []  # flat (from, to, weight) triples
     for v in series.values.tolist():
         buf.append(v)
         while len(buf) >= 3:
@@ -162,12 +162,13 @@ def count_cycles(series: ExtremaSeries, include_residue: bool = True) -> CycleSe
                 break
             if len(buf) == 3:
                 # range Y contains the starting point: half cycle
-                ranges.append((a, b, 0.5))
+                ranges.extend((a, b, 0.5))
                 del buf[0]
             else:
-                ranges.append((a, b, 1.0))
+                ranges.extend((a, b, 1.0))
                 del buf[-3:-1]
-    ranges.extend((a, b, 0.5) for a, b in zip(buf[:-1], buf[1:]))
+    for a, b in zip(buf[:-1], buf[1:]):
+        ranges.extend((a, b, 0.5))
     r = np.array(ranges, dtype=float).reshape(-1, 3)
     if not include_residue:
         r = r[r[:, 2] == 1.0]

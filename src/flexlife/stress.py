@@ -10,6 +10,7 @@ that plane stress state (sigma_yy = 0 at the free surface).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +73,10 @@ class StressHistory:
         sxy = np.asarray(self.sigma_xy, dtype=float)
         if not (t.shape == sxx.shape == sxy.shape) or t.ndim != 1:
             raise ValueError("times and stress components must be 1-d arrays of equal length")
+        if t.size == 0:
+            raise ValueError("stress history has no samples")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("stress history has non-finite sample times")
         if not (np.all(np.isfinite(sxx)) and np.all(np.isfinite(sxy))):
             raise ValueError("stress history contains non-finite values")
         object.__setattr__(self, "times", t)
@@ -124,13 +129,17 @@ def write_stress_csv(path, history: StressHistory) -> None:
 
 
 def read_stress_csv(path) -> StressHistory:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    for col in ("t", "sigma_xx", "sigma_xy"):
-        if col not in (data.dtype.names or ()):
-            raise ValueError(f"stress CSV is missing required column '{col}'")
-    t = np.atleast_1d(data["t"])
-    return StressHistory(
-        times=t,
-        sigma_xx=np.atleast_1d(data["sigma_xx"]),
-        sigma_xy=np.atleast_1d(data["sigma_xy"]),
-    )
+    """Stress history from a CSV whose header names the columns t,
+    sigma_xx and sigma_xy, in any order, among any others."""
+    with open(path) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        columns = []
+        for col in ("t", "sigma_xx", "sigma_xy"):
+            if col not in header:
+                raise ValueError(f"stress CSV is missing required column '{col}'")
+            columns.append(header.index(col))
+        with warnings.catch_warnings():
+            # a file without data rows warns here; StressHistory rejects it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", usecols=columns, ndmin=2)
+    return StressHistory(times=data[:, 0], sigma_xx=data[:, 1], sigma_xy=data[:, 2])

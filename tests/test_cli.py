@@ -213,6 +213,49 @@ class TestFatigueCommand:
         assert report["finite_life"] is True
         assert report["t_life_seconds"] * report["d_max"] == pytest.approx(2.0, rel=1e-9)
 
+    def test_report_keys_leave_out_the_run_record(self, runner, tmp_path):
+        stress = tmp_path / "stress.csv"
+        stress.write_text("t,sigma_xx,sigma_xy\n0.0,1e8,0.0\n0.1,-1e8,0.0\n0.2,1e8,0.0\n")
+        result = runner.invoke(
+            main,
+            ["fatigue", str(stress), str(Path(DEMO_CONFIG).parent / "fatigue_material.json"),
+             "--angles", "5", "--out-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "damage_report.json").read_text())
+        assert set(report) == {
+            "t_task_seconds", "d_max", "phi_critical_rad", "finite_life",
+            "t_life_seconds", "t_life_hours", "angles_rad", "damage",
+        }
+
+    @pytest.mark.parametrize("last_time", ["", "nan", "inf"])
+    def test_non_finite_time_exit_2(self, runner, tmp_path, last_time):
+        # a blank time cell once gave a NaN task time, a NaN lifetime and
+        # exit 0 with an invalid damage_report.json
+        stress = tmp_path / "stress.csv"
+        stress.write_text(
+            f"t,sigma_xx,sigma_xy\n0.0,1e8,0.0\n0.1,-1e8,0.0\n{last_time},1e8,0.0\n"
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["fatigue", str(stress), str(Path(DEMO_CONFIG).parent / "fatigue_material.json"),
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert not (out / "damage_report.json").exists()
+
+    def test_header_only_csv_exit_2(self, runner, tmp_path):
+        stress = tmp_path / "stress.csv"
+        stress.write_text("t,sigma_xx,sigma_xy\n")
+        result = runner.invoke(
+            main,
+            ["fatigue", str(stress), str(Path(DEMO_CONFIG).parent / "fatigue_material.json")],
+        )
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
     def test_malformed_csv_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")

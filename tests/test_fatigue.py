@@ -5,7 +5,7 @@ import pytest
 
 from flexlife import fatigue as fat
 from flexlife import rainflow as rfc
-from flexlife.stress import StressHistory
+from flexlife.stress import StressHistory, tresca_history
 
 MPA = 1e6
 
@@ -30,6 +30,26 @@ def direct_damage(sigma, mat, n_mean=32, n_amp=32):
     series = rfc.extract_extrema(np.arange(float(sigma.size)), sigma)
     cycles = rfc.count_cycles(series)
     return fat.accumulate(rfc.bin_cycles(cycles, n_mean, n_amp), mat)
+
+
+def every_plane_damage(history, angles, mat, gate=0.0, include_residue=True):
+    """Per-plane damage of the loop that counts every plane on its own,
+    as critical_plane_lifetime did before it paired planes pi/2 apart;
+    the oracle of TestPlanePairing."""
+    damage = np.empty(len(angles))
+    for k, phi in enumerate(angles):
+        series = rfc.extract_extrema(history.times, tresca_history(history, phi), gate)
+        cycles = rfc.count_cycles(series, include_residue=include_residue)
+        damage[k] = fat.accumulate(rfc.bin_cycles(cycles, 32, 32), mat)
+    return damage
+
+
+def biaxial_history(seed, n=1500):
+    """Wrapped random walks in both components: damage on most planes."""
+    rng = np.random.default_rng(seed)
+    sxx = rng.normal(0.0, 60.0 * MPA, n).cumsum() % (400.0 * MPA) - 150.0 * MPA
+    sxy = rng.normal(0.0, 30.0 * MPA, n).cumsum() % (200.0 * MPA) - 100.0 * MPA
+    return StressHistory(np.arange(float(n)), sxx, sxy)
 
 
 class TestHaigh:
@@ -185,7 +205,96 @@ class TestCriticalPlane:
         with pytest.raises(ValueError):
             fat.critical_plane_lifetime(hist, np.array([]), material, 1.0)
 
+    @pytest.mark.parametrize("t_task", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_task_time_rejected(self, material, t_task):
+        hist = alternating_history(250.0 * MPA, 5)
+        with pytest.raises(ValueError, match="t_task"):
+            fat.critical_plane_lifetime(hist, fat.angle_grid(5), material, t_task)
+
+    def test_critical_cycles_are_the_critical_plane_weight(self, material):
+        # 51 alternating extrema on the 45 degree plane: 25 full cycles
+        hist = alternating_history(250.0 * MPA, 25)
+        report = fat.critical_plane_lifetime(hist, fat.angle_grid(73), material, 1.0)
+        assert report.critical_cycles == 25.0
+
     def test_angle_grid_contains_quarter_pi(self):
         grid = fat.angle_grid(73)
         assert grid.size == 73
         assert np.min(np.abs(grid - math.pi / 4.0)) < 1e-15
+
+
+class TestPlanePairing:
+    """Planes pi/2 apart share one rainflow count (negated means)."""
+
+    # Partner histories differ from separately computed ones by about
+    # 4e-16 relative (sin and cos of 2 phi + pi are not exact negations);
+    # measured worst per-plane damage deviation over 30 such histories,
+    # both gate settings and these grids: 5.7e-15.
+    PAIRED_RTOL = 1e-12
+
+    @pytest.mark.parametrize("n_angles", [73, 19, 5])
+    @pytest.mark.parametrize("gate,include_residue", [(0.0, True), (5.0 * MPA, False)])
+    def test_paired_grid_matches_every_plane_loop(self, material, n_angles, gate,
+                                                  include_residue):
+        angles = fat.angle_grid(n_angles)
+        for seed in range(3):
+            hist = biaxial_history(seed)
+            want = every_plane_damage(hist, angles, material, gate, include_residue)
+            report = fat.critical_plane_lifetime(
+                hist, angles, material, 1.0,
+                hysteresis_gate=gate, include_residue=include_residue,
+            )
+            assert np.count_nonzero(want) > n_angles // 2
+            np.testing.assert_allclose(report.damage, want, rtol=self.PAIRED_RTOL, atol=0.0)
+            assert report.phi_critical == angles[np.argmax(want)]
+
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            fat.angle_grid(10),
+            fat.angle_grid(1),
+            np.array([0.7]),
+            np.linspace(0.1, math.pi, 19),
+            fat.angle_grid(19) + np.r_[np.zeros(18), 1e-9],
+            np.random.default_rng(4).uniform(0.0, math.pi, 9),
+        ],
+        ids=["even", "one", "single", "shifted-start", "near-miss", "random"],
+    )
+    def test_unpaired_set_is_bit_identical(self, material, angles):
+        hist = biaxial_history(7)
+        want = every_plane_damage(hist, angles, material)
+        report = fat.critical_plane_lifetime(hist, angles, material, 1.0)
+        assert report.damage.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("angles,counts", [
+        (fat.angle_grid(73), 37),
+        (fat.angle_grid(73) + 0.25, 37),
+        (fat.angle_grid(72), 72),
+        (fat.angle_grid(1), 1),
+    ])
+    def test_call_counts(self, material, monkeypatch, angles, counts):
+        calls = {"count": 0, "accumulate": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rfc, "count_cycles", counting("count", rfc.count_cycles))
+        monkeypatch.setattr(fat, "accumulate", counting("accumulate", fat.accumulate))
+        fat.critical_plane_lifetime(biaxial_history(1, n=200), angles, material, 1.0)
+        assert calls == {"count": counts, "accumulate": angles.size}
+
+    def test_partners_differ_through_the_mean_clamp(self, material):
+        # sigma_xx alone: tresca(pi/4) = -sigma_xx and tresca(3 pi/4) = +sigma_xx,
+        # so a tensile mean loads only the second plane
+        hist = alternating_history(150.0 * MPA, 30, mean=60.0 * MPA)
+        angles = fat.angle_grid(5)
+        report = fat.critical_plane_lifetime(hist, angles, material, 1.0)
+        assert report.phi_critical == angles[3]
+        assert report.damage[3] > report.damage[1] > 0.0
+        np.testing.assert_allclose(
+            report.damage, every_plane_damage(hist, angles, material),
+            rtol=self.PAIRED_RTOL, atol=0.0,
+        )

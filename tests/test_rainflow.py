@@ -183,6 +183,39 @@ class TestEquivariance:
         assert shifted.weight.tolist() == base.weight.tolist()
 
 
+def assert_negation_mirrors_cycles(sig, gate):
+    """extract_extrema of -sig keeps the times and negates the values;
+    count_cycles then negates the means and keeps amplitudes and weights
+    bit for bit."""
+    times = np.arange(float(sig.size))
+    plus = extract_extrema(times, sig, gate)
+    minus = extract_extrema(times, -sig, gate)
+    assert minus.times.tobytes() == plus.times.tobytes()
+    assert minus.values.tobytes() == (-plus.values).tobytes()
+    for include_residue in (True, False):
+        base = count_cycles(plus, include_residue=include_residue)
+        mirrored = count_cycles(minus, include_residue=include_residue)
+        # exact, but compared by value: a zero mean may come out as -0.0
+        np.testing.assert_array_equal(mirrored.mean, -base.mean)
+        assert mirrored.amplitude.tobytes() == base.amplitude.tobytes()
+        assert mirrored.weight.tobytes() == base.weight.tobytes()
+
+
+class TestNegationMirrorsCycles:
+    @given(alternating_series(), st.sampled_from([0.0, 1.0, 2.5, 7.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_integer_series(self, values, gate):
+        assert_negation_mirrors_cycles(values, gate)
+
+    @given(
+        st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=80),
+        st.sampled_from([0.0, 1e3, 1e8]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_float_histories(self, sig, gate):
+        assert_negation_mirrors_cycles(np.array(sig), gate)
+
+
 def reference_count_cycles(series, include_residue=True):
     """The former counting loop (three parallel lists filled by an emit
     closure), kept as the oracle of the differential tests below."""

@@ -167,3 +167,49 @@ class TestCsvRoundTrip:
         path.write_text("t,sigma_xx\n0.0,1.0\n")
         with pytest.raises(ValueError):
             st.read_stress_csv(path)
+
+    def test_missing_column_rejected_among_extra_columns(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("sigma_xy,t,extra\n0.0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="sigma_xx"):
+            st.read_stress_csv(path)
+
+    def test_columns_found_by_name_in_any_order(self, tmp_path):
+        path = tmp_path / "stress.csv"
+        path.write_text("sigma_xy,label,t,sigma_xx,extra\n"
+                        "3.0,7,0.0,1.0,9\n"
+                        "4.0,8,0.5,2.0,9\n")
+        back = st.read_stress_csv(path)
+        assert back.times.tolist() == [0.0, 0.5]
+        assert back.sigma_xx.tolist() == [1.0, 2.0]
+        assert back.sigma_xy.tolist() == [3.0, 4.0]
+
+    def test_single_data_row(self, tmp_path):
+        path = tmp_path / "stress.csv"
+        path.write_text("t,sigma_xx,sigma_xy\n0.25,1.5,-2.5\n")
+        back = st.read_stress_csv(path)
+        assert back.times.tolist() == [0.25]
+        assert back.sigma_xx.tolist() == [1.5]
+        assert back.sigma_xy.tolist() == [-2.5]
+
+    @pytest.mark.parametrize("text", [
+        "t,sigma_xx,sigma_xy\n0.0,1.0,2.0\n,3.0,4.0\n",
+        "t,sigma_xx,sigma_xy\n0.0,1.0,2.0\nnan,3.0,4.0\n",
+        "t,sigma_xx,sigma_xy\n",
+    ], ids=["blank-time", "nan-time", "no-rows"])
+    def test_bad_times_or_no_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            st.read_stress_csv(path)
+
+
+class TestStressHistoryChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="time"):
+            st.StressHistory(np.array([0.0, bad]), np.zeros(2), np.zeros(2))
+
+    def test_empty_history_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            st.StressHistory(np.array([]), np.array([]), np.array([]))
