@@ -62,19 +62,35 @@ class FatigueMaterial:
         object.__setattr__(self, "haigh", pts)
 
 
+def _haigh_amplitude(mat: FatigueMaterial, sigma_m):
+    """Allowable amplitude of each mean stress on the Haigh polyline. The
+    polyline starts at mean 0 and ends at R_e with amplitude 0, so the end
+    clamps of ``np.interp`` give negative means the fully reversed
+    strength and means at or beyond R_e zero amplitude."""
+    means, amps = zip(*mat.haigh)
+    return np.interp(sigma_m, means, amps)
+
+
+def _woehler_life(mat: FatigueMaterial, sigma_a: np.ndarray, sigma_da: np.ndarray) -> np.ndarray:
+    """Fatigue life of each amplitude sigma_a >= 0 against its allowable
+    amplitude sigma_da > 0 (see ``woehler_cycles``)."""
+    re_ = mat.yield_strength
+    life = np.where(sigma_a < sigma_da, math.inf, mat.n_lcf)
+    life[sigma_a == sigma_da] = mat.n_hcf
+    on_line = (sigma_a > sigma_da) & (sigma_a < re_)
+    a, da = sigma_a[on_line], sigma_da[on_line]
+    slope = (math.log(mat.n_hcf) - math.log(mat.n_lcf)) / (math.log(re_) - np.log(da))
+    life[on_line] = np.exp(math.log(mat.n_lcf) + slope * (math.log(re_) - np.log(a)))
+    return life
+
+
 def haigh_fatigue_strength(mat: FatigueMaterial, sigma_m: float) -> float:
     """Allowable amplitude for a mean stress, linearly interpolated.
 
     Negative means clamp to the fully reversed strength (no compressive
     credit); means at or beyond the yield strength allow zero amplitude.
     """
-    if sigma_m <= 0.0:
-        return mat.fatigue_strength
-    if sigma_m >= mat.yield_strength:
-        return 0.0
-    means = np.array([p[0] for p in mat.haigh])
-    amps = np.array([p[1] for p in mat.haigh])
-    return float(np.interp(sigma_m, means, amps))
+    return float(_haigh_amplitude(mat, sigma_m))
 
 
 def woehler_cycles(mat: FatigueMaterial, sigma_a: float, sigma_da: float) -> float:
@@ -88,24 +104,8 @@ def woehler_cycles(mat: FatigueMaterial, sigma_a: float, sigma_da: float) -> flo
         raise ValueError("fatigue-resistant amplitude must be positive (degenerate Haigh data)")
     if sigma_a < 0.0:
         raise ValueError("stress amplitude must be non-negative")
-    if sigma_a < sigma_da:
-        return math.inf
-    if sigma_a == sigma_da:
-        return mat.n_hcf
-    if sigma_a >= mat.yield_strength:
-        return mat.n_lcf
-    re_ = mat.yield_strength
-    slope = (math.log(mat.n_hcf) - math.log(mat.n_lcf)) / (math.log(re_) - math.log(sigma_da))
-    return math.exp(math.log(mat.n_lcf) + slope * (math.log(re_) - math.log(sigma_a)))
-
-
-def damage_increment(n_counted: float, n_allowed: float) -> float:
-    """Miner quotient of one rainflow bin; zero for infinite life."""
-    if n_counted < 0.0:
-        raise ValueError("cycle count must be non-negative")
-    if math.isinf(n_allowed):
-        return 0.0
-    return n_counted / n_allowed
+    life = _woehler_life(mat, np.array([sigma_a], dtype=float), np.array([sigma_da], dtype=float))
+    return float(life[0])
 
 
 def accumulate(matrix: rainflow.RainflowMatrix, mat: FatigueMaterial) -> float:
@@ -114,23 +114,18 @@ def accumulate(matrix: rainflow.RainflowMatrix, mat: FatigueMaterial) -> float:
     Bin centers are the representative (mean, amplitude) of each load
     collective. Bins whose mean reaches the yield strength have zero
     allowable amplitude; their life saturates at the low-cycle anchor
-    (the continuous limit of the Woehler line).
+    (the continuous limit of the Woehler line). The increments are summed
+    one after the other in row-major bin order.
     """
-    damage = 0.0
-    m_centers = matrix.mean_centers
-    a_centers = matrix.amp_centers
-    occupied = np.argwhere(matrix.counts > 0.0)
-    for i, j in occupied:
-        amp = a_centers[j]
-        if amp <= 0.0:
-            continue
-        sigma_da = haigh_fatigue_strength(mat, m_centers[i])
-        if sigma_da <= 0.0:
-            n_allowed = mat.n_lcf
-        else:
-            n_allowed = woehler_cycles(mat, amp, sigma_da)
-        damage += damage_increment(matrix.counts[i, j], n_allowed)
-    return damage
+    i, j = np.nonzero((matrix.counts > 0.0) & (matrix.amp_centers > 0.0))
+    if i.size == 0:
+        return 0.0
+    amp = matrix.amp_centers[j]
+    sigma_da = _haigh_amplitude(mat, matrix.mean_centers[i])
+    n_allowed = np.full(amp.size, mat.n_lcf)
+    positive = sigma_da > 0.0
+    n_allowed[positive] = _woehler_life(mat, amp[positive], sigma_da[positive])
+    return float(np.cumsum(matrix.counts[i, j] / n_allowed)[-1])
 
 
 def angle_grid(n_angles: int = 73) -> np.ndarray:

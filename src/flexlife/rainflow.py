@@ -5,6 +5,13 @@ closed load cycles are extracted with the pagoda-roof/ASTM procedure and
 the resulting (mean, amplitude) pairs are aggregated into a rainflow
 matrix over a rectangular bin grid. Residue half cycles are kept with
 weight 0.5 by default.
+
+The ASTM E1049 stack loop is equivalent to removing "4-point" cycles
+(Amzallag et al. 1994): a range smaller than the range before it and
+overtaken by the range after it is a closed cycle, and removing it leaves
+the rest of the count unchanged. ``count_cycles`` removes such cycles a
+whole level at a time with numpy passes, then lets the loop count the
+few points left, so the order of the returned cycles is unspecified.
 """
 
 from __future__ import annotations
@@ -145,16 +152,62 @@ def extract_extrema(times, sigma, hysteresis_gate: float = 0.0) -> ExtremaSeries
     return ExtremaSeries(values=v, times=t)
 
 
+def _close_inner_cycles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Remove whole levels of closed 4-point cycles; returns the remaining
+    extrema and the (from, to) points of the closed cycles.
+
+    Range j, from x[j] to x[j+1], is closed when a range precedes it,
+    r[j-1] > r[j], and x[j+2] reaches at least x[j]. The ASTM loop then
+    finds it on top of its strictly decreasing stack of ranges when x[j+1]
+    arrives, closes it at x[j+2] because abs(v - b) >= abs(b - a), and
+    goes on as if x[j] and x[j+1] had never been there. x[j+2] and x[j]
+    are compared directly: r[j+1] >= r[j] can hold after rounding when
+    x[j+2] falls short of x[j], and the loop would go on differently.
+    Two such ranges are never adjacent, and removing one leaves the others
+    closable, so one mask removes a whole level. The passes stop once one
+    removes fewer than 1/16 of the points, which bounds their work by 16 n;
+    a spiral closed by one large swing would otherwise take a pass per
+    cycle.
+    """
+    if x.size < 4:
+        return x, x[:0], x[:0]
+    # negated valleys (exact): range k is y[k] + y[k+1], and x[j+2] reaches
+    # x[j] iff y[j+2] >= y[j]; removing pairs keeps every point's parity,
+    # so sign[k] stays the sign of position k
+    sign = np.ones(x.size)
+    sign[int(x[0] > x[1]) :: 2] = -1.0
+    y = x * sign
+    heads, tails = [], []
+    while y.size >= 4:
+        r = y[:-1] + y[1:]
+        j = np.flatnonzero((r[:-2] > r[1:-1]) & (y[3:] >= y[1:-2])) + 1
+        heads.append(y[j] * sign[j])
+        tails.append(y[j + 1] * sign[j + 1])
+        keep = np.ones(y.size, dtype=bool)
+        keep[j] = False
+        keep[j + 1] = False
+        removed = 2 * j.size
+        y = y[keep]
+        if 16 * removed < y.size + removed:
+            break
+    return y * sign[: y.size], np.concatenate(heads), np.concatenate(tails)
+
+
 def count_cycles(series: ExtremaSeries, include_residue: bool = True) -> CycleSet:
     """ASTM E1049 rainflow counting of an alternating extrema series.
 
     Closed cycles get weight 1.0; the residue (flows reaching the end of
     the history, including those anchored at the moving start point) is
-    counted as half cycles of weight 0.5 unless disabled.
+    counted as half cycles of weight 0.5 unless disabled. Numpy passes
+    first close every 4-point cycle of a level at once (see
+    ``_close_inner_cycles``); the ASTM stack loop then counts the few
+    points left. The cycle multiset is exactly the loop's; the order of
+    the cycles is unspecified.
     """
+    rest, heads, tails = _close_inner_cycles(series.values)
     buf: list[float] = []
     ranges: list[float] = []  # flat (from, to, weight) triples
-    for v in series.values.tolist():
+    for v in rest.tolist():
         buf.append(v)
         while len(buf) >= 3:
             a, b = buf[-3], buf[-2]
@@ -172,8 +225,10 @@ def count_cycles(series: ExtremaSeries, include_residue: bool = True) -> CycleSe
     r = np.array(ranges, dtype=float).reshape(-1, 3)
     if not include_residue:
         r = r[r[:, 2] == 1.0]
-    a, b = r[:, 0], r[:, 1]
-    return CycleSet(mean=0.5 * (a + b), amplitude=0.5 * np.abs(a - b), weight=r[:, 2])
+    a = np.concatenate((heads, r[:, 0]))
+    b = np.concatenate((tails, r[:, 1]))
+    w = np.concatenate((np.ones(heads.size), r[:, 2]))
+    return CycleSet(mean=0.5 * (a + b), amplitude=0.5 * np.abs(a - b), weight=w)
 
 
 def _edges(lo: float, hi: float, n: int) -> np.ndarray:
@@ -199,6 +254,5 @@ def bin_cycles(cycles: CycleSet, n_mean: int = 32, n_amp: int = 32) -> RainflowM
     ae = _edges(float(a.min()), float(a.max()), n_amp)
     im = np.clip(np.searchsorted(me, m, side="right") - 1, 0, n_mean - 1)
     ia = np.clip(np.searchsorted(ae, a, side="right") - 1, 0, n_amp - 1)
-    counts = np.zeros((n_mean, n_amp))
-    np.add.at(counts, (im, ia), w)
-    return RainflowMatrix(mean_edges=me, amp_edges=ae, counts=counts)
+    counts = np.bincount(im * n_amp + ia, weights=w, minlength=n_mean * n_amp)
+    return RainflowMatrix(mean_edges=me, amp_edges=ae, counts=counts.reshape(n_mean, n_amp))

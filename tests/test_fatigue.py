@@ -107,14 +107,32 @@ class TestWoehler:
 
 
 class TestDamage:
-    def test_increment_ratio(self):
-        assert fat.damage_increment(10.0, 1e5) == pytest.approx(1e-4)
+    def test_accumulate_bin_damage_is_count_over_life(self, material):
+        amp = 200.0 * MPA
+        cycles = rfc.CycleSet(
+            mean=np.array([0.0]), amplitude=np.array([amp]), weight=np.array([1.0])
+        )
+        matrix = rfc.bin_cycles(cycles, 1, 1)
+        matrix.counts[0, 0] = 10.0
+        n_allowed = fat.woehler_cycles(material, amp, 100.0 * MPA)
+        assert fat.accumulate(matrix, material) == 10.0 / n_allowed
 
-    def test_increment_infinite_life(self):
-        assert fat.damage_increment(10.0, math.inf) == 0.0
+    def test_accumulate_below_fatigue_strength_is_zero(self, material):
+        cycles = rfc.CycleSet(
+            mean=np.array([0.0, 10.0 * MPA]),
+            amplitude=np.array([60.0 * MPA, 99.0 * MPA]),
+            weight=np.array([1.0, 0.5]),
+        )
+        assert fat.accumulate(rfc.bin_cycles(cycles, 4, 4), material) == 0.0
 
-    def test_increment_empty_bin(self):
-        assert fat.damage_increment(0.0, 1e5) == 0.0
+    def test_accumulate_skips_empty_bins(self, material):
+        cycles = rfc.CycleSet(
+            mean=np.array([0.0]), amplitude=np.array([250.0 * MPA]), weight=np.array([1.0])
+        )
+        matrix = rfc.bin_cycles(cycles, 2, 2)
+        assert fat.accumulate(matrix, material) > 0.0
+        matrix.counts[:] = 0.0
+        assert fat.accumulate(matrix, material) == 0.0
 
     def test_accumulate_empty_matrix(self, material):
         cycles = rfc.CycleSet(mean=np.array([]), amplitude=np.array([]), weight=np.array([]))
@@ -143,6 +161,91 @@ class TestDamage:
         d2 = fat.accumulate(rfc.bin_cycles(two, 1, 1), material)
         assert d1 == pytest.approx(d2, rel=1e-14)
         assert d1 > 0.0
+
+
+def reference_accumulate(matrix, mat):
+    """The former per-bin loop with the former scalar Haigh and Woehler
+    formulas, kept as the oracle of TestAccumulateMatchesReference."""
+
+    def haigh(sigma_m):
+        if sigma_m <= 0.0:
+            return mat.fatigue_strength
+        if sigma_m >= mat.yield_strength:
+            return 0.0
+        means = np.array([p[0] for p in mat.haigh])
+        amps = np.array([p[1] for p in mat.haigh])
+        return float(np.interp(sigma_m, means, amps))
+
+    def woehler(sigma_a, sigma_da):
+        if sigma_a < sigma_da:
+            return math.inf
+        if sigma_a == sigma_da:
+            return mat.n_hcf
+        if sigma_a >= mat.yield_strength:
+            return mat.n_lcf
+        re_ = mat.yield_strength
+        slope = (math.log(mat.n_hcf) - math.log(mat.n_lcf)) / (math.log(re_) - math.log(sigma_da))
+        return math.exp(math.log(mat.n_lcf) + slope * (math.log(re_) - math.log(sigma_a)))
+
+    damage = 0.0
+    for i, j in np.argwhere(matrix.counts > 0.0):
+        amp = matrix.amp_centers[j]
+        if amp <= 0.0:
+            continue
+        sigma_da = haigh(matrix.mean_centers[i])
+        n_allowed = mat.n_lcf if sigma_da <= 0.0 else woehler(amp, sigma_da)
+        if not math.isinf(n_allowed):
+            damage += matrix.counts[i, j] / n_allowed
+    return damage
+
+
+ACCUMULATE_RTOL = 1e-13  # numpy's vector log/exp may differ from math's by an ulp
+
+CUSTOM_HAIGH = fat.FatigueMaterial(
+    yield_strength=300.0 * MPA,
+    fatigue_strength=100.0 * MPA,
+    haigh=((0.0, 100.0 * MPA), (100.0 * MPA, 80.0 * MPA), (200.0 * MPA, 30.0 * MPA),
+           (300.0 * MPA, 0.0)),
+)
+
+
+class TestAccumulateMatchesReference:
+    @pytest.mark.parametrize("mat", [
+        fat.FatigueMaterial(yield_strength=300.0 * MPA, fatigue_strength=100.0 * MPA),
+        CUSTOM_HAIGH,
+    ])
+    def test_bin_grid_through_every_branch(self, mat):
+        """Bin centers every 20 MPa: means -20, 0, ..., R_e and beyond,
+        amplitudes 0, sigma_Da of zero and knot means, R_e and beyond."""
+        mean_edges = (np.arange(19) * 20.0 - 30.0) * MPA
+        amp_edges = (np.arange(19) * 20.0 - 10.0) * MPA
+        matrix = rfc.RainflowMatrix(mean_edges, amp_edges, np.zeros((18, 18)))
+        assert {-20.0, 0.0, 100.0, 300.0, 320.0} <= set(matrix.mean_centers / MPA)
+        assert {0.0, 80.0, 100.0, 300.0, 320.0} <= set(matrix.amp_centers / MPA)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            counts = rng.integers(0, 7, matrix.counts.shape) * 0.5
+            counts[rng.random(counts.shape) < 0.5] = 0.0
+            matrix = rfc.RainflowMatrix(mean_edges, amp_edges, counts)
+            want = reference_accumulate(matrix, mat)
+            assert want > 0.0
+            assert fat.accumulate(matrix, mat) == pytest.approx(want, rel=ACCUMULATE_RTOL, abs=0.0)
+        matrix.counts[:] = 1.0
+        assert fat.accumulate(matrix, mat) == pytest.approx(
+            reference_accumulate(matrix, mat), rel=ACCUMULATE_RTOL, abs=0.0
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_biaxial_planes(self, material, seed):
+        hist = biaxial_history(seed)
+        for phi in fat.angle_grid(13):
+            series = rfc.extract_extrema(hist.times, tresca_history(hist, phi))
+            for mat in (material, CUSTOM_HAIGH):
+                matrix = rfc.bin_cycles(rfc.count_cycles(series), 32, 32)
+                want = reference_accumulate(matrix, mat)
+                assert fat.accumulate(matrix, mat) == pytest.approx(
+                    want, rel=ACCUMULATE_RTOL, abs=0.0
+                )
 
 
 class TestCriticalPlane:

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from flexlife.rainflow import (
     CycleSet,
     ExtremaSeries,
+    _close_inner_cycles,
     bin_cycles,
     count_cycles,
     extract_extrema,
@@ -248,15 +250,40 @@ def reference_count_cycles(series, include_residue=True):
     return CycleSet(mean=np.array(mean), amplitude=np.array(amp), weight=np.array(weight))
 
 
+def sorted_cycles(cycles):
+    """(mean, amplitude, weight) columns in lexicographic order: the cycle
+    order is unspecified, the multiset is not."""
+    order = np.lexsort((cycles.weight, cycles.amplitude, cycles.mean))
+    return [getattr(cycles, name)[order] for name in ("mean", "amplitude", "weight")]
+
+
 def assert_same_cycles(series):
-    """Exact equality, order included, with the reference loop."""
+    """Bit-equal cycle multisets and rainflow matrices with the reference
+    loop."""
     for include_residue in (True, False):
         got = count_cycles(series, include_residue=include_residue)
         want = reference_count_cycles(series, include_residue=include_residue)
-        for name in ("mean", "amplitude", "weight"):
-            a, b = getattr(got, name), getattr(want, name)
+        for a, b in zip(sorted_cycles(got), sorted_cycles(want)):
             assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), name
+            assert a.tobytes() == b.tobytes()
+        got_matrix, want_matrix = bin_cycles(got, 8, 6), bin_cycles(want, 8, 6)
+        for name in ("mean_edges", "amp_edges", "counts"):
+            assert getattr(got_matrix, name).tobytes() == getattr(want_matrix, name).tobytes()
+
+
+def alternate(values):
+    """The alternating extrema of values (times are the sample indices)."""
+    values = np.asarray(values, dtype=float)
+    return extract_extrema(np.arange(float(values.size)), values)
+
+
+# values whose differences round: ranges between them tie after rounding
+ROUNDING_POOL = np.unique([
+    sign * (base + tiny)
+    for base in (0.0, 0.5, 1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 2.0, 3.0, 1e16, 1e16 + 2.0)
+    for tiny in (0.0, 2.0**-54, -2.0**-54, 3.0 * 2.0**-54, -3.0 * 2.0**-54, 2.0**-52)
+    for sign in (1.0, -1.0)
+])
 
 
 class TestCountCyclesMatchesReference:
@@ -270,6 +297,56 @@ class TestCountCyclesMatchesReference:
     def test_demo_and_degenerate_series(self):
         for values in (DEMO, [2.0], [1.0, -1.0], [1.0, -1.0, 1.0], -DEMO):
             assert_same_cycles(series_from_values(values))
+
+    def test_long_series_close_most_cycles_in_passes(self):
+        # >= 5000 extrema, half of them tie-heavy: several passes run, and
+        # the loop sees what they leave
+        rng = np.random.default_rng(23)
+        for k in range(6):
+            n = 12_000
+            if k % 2:
+                sig = rng.integers(-3, 4, n).astype(float)
+            else:
+                sig = rng.normal(0.0, 1e7, n).cumsum() % 4e8 + rng.normal(0.0, 3e6, n)
+            series = alternate(sig)
+            assert len(series) >= 5000
+            rest, heads, _ = _close_inner_cycles(series.values)
+            assert heads.size > 0 and rest.size < len(series) / 4
+            assert_same_cycles(series)
+
+    def test_tie_heavy_series(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(2, 120))
+            assert_same_cycles(alternate(rng.integers(-3, 4, n).astype(float)))
+
+    def test_rounded_ranges(self):
+        """A pass compares x[j + 2] with x[j] directly, since r[j + 1] >= r[j]
+        after rounding does not mean that x[j + 2] reaches x[j]. Here both
+        ranges round to 6.0, but the peak after -3 falls one ulp short of
+        the peak before it, so the loop does not close (3+, -3) there."""
+        up, down = np.nextafter(3.0, 4.0), np.nextafter(3.0, 2.0)
+        assert abs(up - -3.0) == abs(-3.0 - down) == 6.0
+        assert_same_cycles(series_from_values([up, -1e16 - 2.0, up, -3.0, down, -1e16 - 2.0]))
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            assert_same_cycles(alternate(rng.choice(ROUNDING_POOL, int(rng.integers(2, 60)))))
+
+    def test_converging_spiral_stays_linear(self):
+        """Ranges shrink to the end, where one swing closes every cycle: a
+        pass closes one cycle at a time here, so the passes must stop early
+        and leave the rest to the loop."""
+        n = 60_000
+        k = np.arange(n - 1)
+        values = np.append(np.where(k % 2 == 0, 1.0, -1.0) * (n - k), -1e6)
+        series = series_from_values(values)
+        t0 = time.perf_counter()
+        got = count_cycles(series)
+        elapsed = time.perf_counter() - t0
+        want = reference_count_cycles(series)
+        for a, b in zip(sorted_cycles(got), sorted_cycles(want)):
+            assert a.tobytes() == b.tobytes()
+        assert elapsed < 1.0
 
     @given(alternating_series())
     @settings(max_examples=100, deadline=None)
