@@ -81,7 +81,6 @@ class RunConfig:
     """Validated configuration of a full pipeline run."""
 
     design: RobotDesign
-    gains: ControllerGains
     q_pick: tuple[float, float, float]
     q_place: tuple[float, float, float]
     limits: list[JointLimits]
@@ -345,7 +344,6 @@ def _build_config(raw: dict) -> RunConfig:
 
     return RunConfig(
         design=design,
-        gains=gains,
         q_pick=q_pick,
         q_place=q_place,
         limits=limits,

@@ -22,8 +22,9 @@ in the elastic coordinates of the two links, i.e. a sum over the monomials
 grid of angles and keeps one table of 25 Fourier coefficients holding M
 and the gravity monomial weights side by side. One read of that table
 gives M, its analytic angle derivatives (the velocity forces) and the
-gravity forces; the spring and damping forces are one constant linear map
-of (q, qd). The constructor checks the table against the assembly and the
+gravity forces, and one with the second derivatives the exact potential
+Hessian; the spring and damping forces are one constant linear map of
+(q, qd). The constructor checks the table against the assembly and the
 potential gradient at off-grid states and refuses a model whose mass
 matrix or gravity potential falls outside that form.
 
@@ -51,16 +52,16 @@ from .trajectory import TrajectoryPlan
 _EX = np.array([1.0, 0.0, 0.0])
 # Harmonic table of M and the gravity potential. The order-2 Fourier basis
 # 1, cos q, cos 2q, sin q, sin 2q is written as cos(k q - phase): one
-# cosine gives the values and, a quarter turn later and scaled by k, the
-# derivatives. Five equispaced angles determine such a polynomial; the
+# cosine gives the values and each derivative is a further quarter turn,
+# scaled by k. Five equispaced angles determine such a polynomial; the
 # constructor checks the table at the off-grid (q2, q3) pairs below.
 _K = np.array([0.0, 1.0, 2.0, 1.0, 2.0])
-_PHASE = np.array([[0.0, 0.0, 0.0, 0.5, 0.5], [-0.5, -0.5, -0.5, 0.0, 0.0]]) * math.pi
-_SCALE = np.stack([np.ones(5), _K])
-# the table is read as values, d/dq2 and d/dq3: products of the q2 rows
-# (values, derivatives, values) and the q3 rows (values, values, derivatives)
-_READS = np.array([[0, 1, 0], [0, 0, 1]])
-_READ_PHASE, _READ_SCALE = _PHASE[_READS], _SCALE[_READS]
+_PHASE = np.array([0.0, 0.0, 0.0, 0.5, 0.5]) * math.pi
+# the table is read as values, d/dq2, d/dq3, d2/dq2^2, d2/dq2dq3 and
+# d2/dq3^2: products of a q2 and a q3 row of these derivative orders
+_ORDERS = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
+_READ_PHASE = _PHASE - 0.5 * math.pi * _ORDERS[..., None]
+_READ_SCALE = _K ** _ORDERS[..., None]
 _GRID = 2.0 * math.pi * np.arange(5) / 5.0
 _CHECK_ANGLES = np.array([[0.3, 1.1], [-1.7, -0.4], [2.9, 5.6], [4.1, -2.6], [-5.3, 0.9]])
 _TABLE_RTOL = 1e-12
@@ -181,11 +182,11 @@ class GeneralizedState:
             raise ValueError("q and qd must be 1-d arrays of equal length")
 
 
-def _harmonics(q23) -> np.ndarray:
+def _harmonics(q23, reads: int = 3) -> np.ndarray:
     """Products of the Fourier bases of q2 and q3 at the angle pairs q23
-    (..., 2) that read values, d/dq2 and d/dq3 from the table; (..., 3, 25)."""
-    U = _READ_SCALE * np.cos(q23[..., :, None, None] * _K - _READ_PHASE)
-    basis = U[..., 0, :, :, None] * U[..., 1, :, None, :]
+    (..., 2) for the first ``reads`` reads of the table; (..., reads, 25)."""
+    U = _READ_SCALE[:reads] * np.cos(q23[..., None, :, None] * _K - _READ_PHASE[:reads])
+    basis = U[..., 0, :, None] * U[..., 1, None, :]
     return basis.reshape(basis.shape[:-2] + (25,))
 
 
@@ -324,7 +325,7 @@ class RobotModel:
         samples = np.concatenate(
             (M_grid.reshape(5, 5, -1), self._gravity_monomials().reshape(5, 5, -1)), axis=-1
         )
-        dft = np.linalg.inv(np.cos(np.multiply.outer(_GRID, _K) - _PHASE[0]))
+        dft = np.linalg.inv(np.cos(np.multiply.outer(_GRID, _K) - _PHASE))
         self._table = np.einsum("jp,kr,prc->jkc", dft, dft, samples).reshape(25, -1)
         # off-grid check states: the check angles, twisted gears and small
         # non-zero elastic coordinates
@@ -540,6 +541,27 @@ class RobotModel:
         ) + q[..., self.sl2] @ self.beam2.K
         return g
 
+    def potential_hessian(self, q: np.ndarray) -> np.ndarray:
+        """Exact Hessian of :meth:`potential` at one state q (n,): the constant
+        gear and beam stiffness plus the gravity blocks of V_grav = e1^T C e2
+        from a table read with the second angle derivatives C_ab (e1^T C_ab
+        e2, the q_e entries of C_a e2 and of e1^T C_a, and C between the
+        links), assembled as G + G^T so that it is exactly symmetric."""
+        q = np.asarray(q, dtype=float)
+        n = self.n
+        rows = _harmonics(q[4:6], len(_ORDERS)) @ self._table[:, n**2:]
+        C = rows.reshape(-1, 1 + self.m1, 1 + self.m2)
+        e1 = np.concatenate(([1.0], q[self.sl1]))
+        e2 = np.concatenate(([1.0], q[self.sl2]))
+        Ce2 = C[1:] @ e2
+        G = np.zeros((n, n))
+        # G + G^T doubles the diagonal
+        G[4, 4], G[4, 5], G[5, 5] = Ce2[2:] @ e1 * (0.5, 1.0, 0.5)
+        G[4:6, self.sl1] = Ce2[:2, 1:]
+        G[4:6, self.sl2] = (e1 @ C[1:3])[:, 1:]
+        G[self.sl1, self.sl2] = C[0, 1:, 1:]
+        return self._linear[:n] + (G + G.T)
+
     # ----- kinematics of the end effector ------------------------------
 
     def end_effector(self, q: np.ndarray) -> np.ndarray:
@@ -642,8 +664,10 @@ class SimSettings:
     gains: ControllerGains | None = None
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0 or self.sample_rate <= 0.0:
-            raise ValueError("tolerances and sample rate must be positive")
+        if not all(0.0 < v < math.inf for v in (self.rtol, self.atol, self.sample_rate)):
+            raise ValueError("tolerances and sample rate must be positive and finite")
+        if self.t_settle is not None and not 0.0 < self.t_settle < math.inf:
+            raise ValueError("t_settle must be None or positive and finite")
         if self.initial_elastic not in ("static", "zero"):
             raise ValueError("initial_elastic must be 'static' or 'zero'")
 
@@ -675,25 +699,15 @@ class SimulationResult:
             raise ValueError("end-effector deviation contains non-finite values")
 
 
-def _free_jacobian(model: RobotModel, q: np.ndarray, g_free: np.ndarray, h: float) -> np.ndarray:
-    """Forward-difference Jacobian, with step h, of the potential gradient
-    over the free coordinates (q_L, q_e) at q, where it equals g_free; one
-    batched gradient call over the perturbed states."""
-    n_free = model.n - 3
-    Q = np.repeat(q[None, :], n_free, axis=0)
-    Q[:, 3:] += h * np.eye(n_free)
-    return ((model.potential_grad(Q)[:, 3:] - g_free) / h).T
-
-
 def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarray, int]:
     """Full coordinate vector with (q_L, q_e) in static equilibrium while
     the motors hold q_motor (gear springs carry the gravity load), and the
     number of Newton steps taken.
 
-    Newton's method stops when the free gradient norm is below 1e-9 or,
-    for a model so stiff that roundoff keeps the gradient above that, when
-    the step is below 1e-12; SimulationError if neither happens in 50
-    steps.
+    Newton's method on the exact potential Hessian stops when the free
+    gradient norm is below 1e-9 or, for a model so stiff that the
+    gradient's own roundoff keeps it above that, when the step is below
+    1e-12; SimulationError if neither happens in 50 steps.
     """
     q = np.zeros(model.n)
     q[:3] = q_motor
@@ -702,7 +716,7 @@ def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarr
         r = model.potential_grad(q)[3:]
         if np.linalg.norm(r) < 1e-9:
             return q, steps
-        step = np.linalg.solve(_free_jacobian(model, q, r, 1e-7), r)
+        step = np.linalg.solve(model.potential_hessian(q)[3:, 3:], r)
         q[3:] -= step
         if np.linalg.norm(step) < 1e-12:
             return q, steps + 1
@@ -715,8 +729,7 @@ def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarr
 def linearized_periods(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Vibration periods of the (q_L, q_e) subsystem with motors held,
     from the generalized eigenproblem of the potential Hessian."""
-    K = _free_jacobian(model, q, model.potential_grad(q)[3:], 1e-6)
-    K = 0.5 * (K + K.T)
+    K = model.potential_hessian(q)[3:, 3:]
     M = model.mass_matrix(q)[3:, 3:]
     w2 = eigh(K, M, eigvals_only=True)
     w2 = w2[w2 > 1e-9]

@@ -112,14 +112,6 @@ class _JointProfile:
             a + jk * dt,
         )
 
-    @property
-    def segments(self) -> list[tuple[float, float, float]]:
-        """(t_start, duration, jerk) of every non-empty segment."""
-        return [
-            (self._knots[k], self._knots[k + 1] - self._knots[k], self._jerk[k])
-            for k in range(len(self._jerk))
-        ]
-
 
 class TrajectoryPlan:
     """Synchronized multi-joint rest-to-rest plan.
@@ -149,10 +141,6 @@ class TrajectoryPlan:
     @property
     def q_place(self) -> np.ndarray:
         return np.array([p.q1 for p in self._profiles])
-
-    def joint_segments(self, i: int) -> list[tuple[float, float, float]]:
-        """Unscaled (t_start, duration, jerk) segments of joint i."""
-        return self._profiles[i].segments
 
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Desired (q_d, qd_d, qdd_d) at time t, clamped to [0, t_task]."""

@@ -2,6 +2,7 @@
 wraps, so renaming or deleting a traced layer fails here rather than in
 the next traced benchmark run."""
 
+import dataclasses
 import importlib.util
 
 from tests.conftest import REPO_ROOT
@@ -49,3 +50,19 @@ def test_vectorised_rhs_makes_at_most_two_calls_per_jacobian(small_design, short
     assert dynamics.solve_ivp is solver
     for (owner, attr, _), original in zip(tracing.BOUNDARIES, originals):
         assert owner.__dict__[attr] is original, attr
+
+
+def test_traced_simulate_records_the_presolve_oracles(small_design, short_plan, fast_sim):
+    """The benchmark's self-test requires dynamics.potential_grad_calls and
+    dynamics.mass_gradients_calls to be > 0. Both run only in the
+    presolve: the equilibrium residual reads potential_grad, and the
+    linearised periods of the default settling window read the mass
+    matrix through mass_gradients."""
+    from flexlife import dynamics
+
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        dynamics.simulate(small_design, short_plan, dataclasses.replace(fast_sim, t_settle=None))
+    summary = tracer.summary()
+    for name in ("dynamics.potential_grad", "dynamics.mass_gradients"):
+        assert summary[name]["calls"] > 0, name

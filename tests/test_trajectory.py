@@ -2,21 +2,27 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from flexlife.trajectory import JointLimits, TrajectoryPlan, plan_joint_move
+from flexlife.trajectory import JointLimits, TrajectoryPlan, _phase_times, plan_joint_move
 
 
-def reintegrate_endpoint(plan: TrajectoryPlan, joint: int = 0, points_per_seg: int = 41):
+def reintegrate_endpoint(plan: TrajectoryPlan, dq: float, lims: JointLimits,
+                         points_per_seg: int = 41):
     """Independent oracle: Simpson-integrate the sampled acceleration twice.
 
-    q is cubic per segment, so segment-wise Simpson on odd grids is exact
-    up to roundoff.
+    The segment boundaries come from the phase durations of the single-joint
+    move dq, whose time scale is 1. q is cubic per segment, so segment-wise
+    Simpson on odd grids is exact up to roundoff.
     """
-    q0 = plan.sample(0.0)[0][joint]
+    tj, ta, tc = _phase_times(abs(dq), lims.v_max, lims.a_max, lims.j_max)
+    knots = np.cumsum([0.0, tj, ta, tj, tc, tj, ta, tj])
+    assert knots[-1] == plan.t_task
     v = 0.0
-    q = q0
-    for t0, dt, _ in plan.joint_segments(joint):
-        ts = np.linspace(t0, t0 + dt, points_per_seg)
-        acc = np.array([plan.sample(t)[2][joint] for t in ts])
+    q = plan.sample(0.0)[0][0]
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        if t1 <= t0:
+            continue
+        ts = np.linspace(t0, t1, points_per_seg)
+        acc = np.array([plan.sample(t)[2][0] for t in ts])
         vel = v + np.concatenate(([0.0], [simpson(acc[: k + 1], x=ts[: k + 1]) for k in range(1, len(ts))]))
         q = q + simpson(vel, x=ts)
         v = vel[-1]
@@ -58,7 +64,7 @@ def test_triangular_velocity_limit():
 )
 def test_reintegration_oracle(dq, lims):
     plan = plan_joint_move([0.0], [dq], lims)
-    q_end, v_end = reintegrate_endpoint(plan)
+    q_end, v_end = reintegrate_endpoint(plan, dq, lims)
     assert q_end == pytest.approx(dq, abs=1e-9)
     assert v_end == pytest.approx(0.0, abs=1e-9)
     assert plan.sample(plan.t_task)[0][0] == pytest.approx(dq, abs=1e-12)
