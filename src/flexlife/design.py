@@ -12,7 +12,6 @@ roots (the weaker link governs).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,6 +227,8 @@ def run_sweep(
         (config, t1, t2, base_design, plan, settings) for config, t1, t2 in grid.candidates()
     ]
     if settings.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=settings.jobs) as pool:
             raw = list(pool.map(_evaluate_candidate, tasks))
     else:

@@ -31,6 +31,9 @@ matrix or gravity potential falls outside that form.
 Everything is assembled in the frame co-rotating with the base joint; the
 mass matrix is independent of q1 (cyclic coordinate) and gravity points
 along the rotation axis, so nothing is lost.
+
+scipy is imported inside the two functions that call it, ``_vode`` and
+``linearized_periods``, so only a process that integrates loads it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.linalg import eigh
 
 from .beam import BeamSpec, Material, RitzBasis, quadrature, section_properties, shape_basis
 from .beam import curvature_map, stiffness_matrix
@@ -729,6 +730,8 @@ def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarr
 def linearized_periods(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Vibration periods of the (q_L, q_e) subsystem with motors held,
     from the generalized eigenproblem of the potential Hessian."""
+    from scipy.linalg import eigh
+
     K = model.potential_hessian(q)[3:, 3:]
     M = model.mass_matrix(q)[3:, 3:]
     w2 = eigh(K, M, eigvals_only=True)
@@ -804,6 +807,8 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
       on and fails later with an unrelated ValueError. The first one is
       kept, VODE gets NaN until it gives up, and integrate re-raises it.
     """
+    from scipy.integrate import ode
+
     n = y0.size
     failure = []
 

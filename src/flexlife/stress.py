@@ -59,6 +59,20 @@ def default_stress_point(section: CrossSection, xi_crit: float = 0.0) -> Materia
     return material_point(section, xi_crit, 0.0, 0.5 * (section.a - section.t))
 
 
+def check_sample_times(times: np.ndarray) -> None:
+    """ValueError unless the sample times are finite and never decrease;
+    names the first sample that is earlier than the one before it."""
+    if not np.all(np.isfinite(times)):
+        raise ValueError("stress history has non-finite sample times")
+    back = np.flatnonzero(np.diff(times) < 0.0)
+    if back.size:
+        k = int(back[0]) + 1
+        raise ValueError(
+            f"sample times go backwards at index {k}: "
+            f"t = {float(times[k])!r} after {float(times[k - 1])!r}"
+        )
+
+
 @dataclass(frozen=True)
 class StressHistory:
     """Sampled plane-stress components at one material point."""
@@ -75,8 +89,7 @@ class StressHistory:
             raise ValueError("times and stress components must be 1-d arrays of equal length")
         if t.size == 0:
             raise ValueError("stress history has no samples")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("stress history has non-finite sample times")
+        check_sample_times(t)
         if not (np.all(np.isfinite(sxx)) and np.all(np.isfinite(sxy))):
             raise ValueError("stress history contains non-finite values")
         object.__setattr__(self, "times", t)

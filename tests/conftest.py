@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from flexlife.trajectory import JointLimits, plan_joint_move
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO_ROOT / "configs" / "demo.json"
+MM = 1e-3
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +63,27 @@ def fast_sim(demo_gains):
 def short_plan():
     lims = [JointLimits(4.0, 20.0, 150.0)] * 3
     return plan_joint_move([-0.2, 0.6, -1.6], [0.2, 0.8, -1.3], lims)
+
+
+def fast_config(tmp_path: Path, **overrides) -> Path:
+    """Demo config tuned down for test speed."""
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    cfg["robot"]["links"][0]["modes"] = [1, 1, 1]
+    cfg["robot"]["links"][1]["modes"] = [1, 1, 1]
+    cfg["trajectory"]["q_pick"] = [-0.2, 0.6, -1.6]
+    cfg["trajectory"]["q_place"] = [0.2, 0.8, -1.3]
+    cfg["simulation"].update({"rtol": 1e-5, "atol": 1e-8, "t_settle": 0.15,
+                              "sample_rate": 500.0})
+    cfg["fatigue"]["n_angles"] = 19
+    cfg["fatigue"]["material"]["fatigue_strength"] = 8e5
+    cfg["sweep"]["t1_values"] = [1 * MM, 4 * MM]
+    cfg["sweep"]["t2_values"] = [4 * MM]
+    for key, value in overrides.items():
+        node = cfg
+        *parents, leaf = key.split(".")
+        for p in parents:
+            node = node[p]
+        node[leaf] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path

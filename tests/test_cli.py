@@ -7,38 +7,12 @@ from click.testing import CliRunner
 
 from flexlife.cli import main
 from flexlife.config import ConfigError, load_config
-from tests.conftest import DEMO_CONFIG
-
-MM = 1e-3
+from tests.conftest import DEMO_CONFIG, fast_config
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
-
-
-def fast_config(tmp_path: Path, **overrides) -> Path:
-    """Demo config tuned down for test speed."""
-    cfg = json.loads(DEMO_CONFIG.read_text())
-    cfg["robot"]["links"][0]["modes"] = [1, 1, 1]
-    cfg["robot"]["links"][1]["modes"] = [1, 1, 1]
-    cfg["trajectory"]["q_pick"] = [-0.2, 0.6, -1.6]
-    cfg["trajectory"]["q_place"] = [0.2, 0.8, -1.3]
-    cfg["simulation"].update({"rtol": 1e-5, "atol": 1e-8, "t_settle": 0.15,
-                              "sample_rate": 500.0})
-    cfg["fatigue"]["n_angles"] = 19
-    cfg["fatigue"]["material"]["fatigue_strength"] = 8e5
-    cfg["sweep"]["t1_values"] = [1 * MM, 4 * MM]
-    cfg["sweep"]["t2_values"] = [4 * MM]
-    for key, value in overrides.items():
-        node = cfg
-        *parents, leaf = key.split(".")
-        for p in parents:
-            node = node[p]
-        node[leaf] = value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    return path
 
 
 class TestConfigValidation:
@@ -246,6 +220,25 @@ class TestFatigueCommand:
         assert "Traceback" not in result.output
         assert not (out / "damage_report.json").exists()
 
+    @pytest.mark.parametrize("rows", [
+        ["0.0,1e8,0.0", "0.2,1e8,0.0", "0.1,-1e8,0.0", "0.3,-1e8,0.0"],
+        ["0.3,1e8,0.0", "0.1,-1e8,0.0", "0.2,1e8,0.0", "0.0,-1e8,0.0"],
+    ], ids=["shuffled", "reversed-ends"])
+    def test_backwards_time_exit_2(self, runner, tmp_path, rows):
+        # shuffled rows once gave a wrong cycle order and t_task and exit 0;
+        # swapped ends gave a misleading "t_task must be positive"
+        stress = tmp_path / "stress.csv"
+        stress.write_text("t,sigma_xx,sigma_xy\n" + "".join(f"{r}\n" for r in rows))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["fatigue", str(stress), str(Path(DEMO_CONFIG).parent / "fatigue_material.json"),
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "backwards at index" in result.output
+        assert not (out / "damage_report.json").exists()
+
     def test_header_only_csv_exit_2(self, runner, tmp_path):
         stress = tmp_path / "stress.csv"
         stress.write_text("t,sigma_xx,sigma_xy\n")
@@ -285,6 +278,19 @@ class TestRainflowCommand:
         result = runner.invoke(main, ["rainflow", str(series), "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
         assert "non-finite" in result.output
+        assert not (tmp_path / "rainflow_matrix.csv").exists()
+
+    @pytest.mark.parametrize("bad_time, message", [
+        ("", "non-finite"), ("nan", "non-finite"), ("inf", "non-finite"),
+        ("0.5", "backwards at index 3"),
+    ], ids=["blank", "nan", "inf", "backwards"])
+    def test_bad_time_column_exit_2(self, runner, tmp_path, bad_time, message):
+        series = tmp_path / "series.csv"
+        series.write_text(f"t,sigma\n0,-2.0\n1,1.0\n2,-3.0\n{bad_time},5.0\n4,-1.0\n")
+        result = runner.invoke(main, ["rainflow", str(series), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "Traceback" not in result.output
         assert not (tmp_path / "rainflow_matrix.csv").exists()
 
 

@@ -213,3 +213,12 @@ class TestStressHistoryChecks:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
             st.StressHistory(np.array([]), np.array([]), np.array([]))
+
+    def test_backwards_time_rejected_at_first_offending_sample(self):
+        t = np.array([0.0, 0.1, 0.3, 0.2, 0.4, 0.35])
+        with pytest.raises(ValueError, match="backwards at index 3: t = 0.2 after 0.3"):
+            st.StressHistory(t, np.zeros(6), np.zeros(6))
+
+    def test_repeated_time_accepted(self):
+        hist = st.StressHistory(np.array([0.0, 0.1, 0.1, 0.2]), np.zeros(4), np.zeros(4))
+        assert len(hist) == 4
