@@ -32,12 +32,14 @@ Everything is assembled in the frame co-rotating with the base joint; the
 mass matrix is independent of q1 (cyclic coordinate) and gravity points
 along the rotation axis, so nothing is lost.
 
-scipy is imported inside the two functions that call it, ``_vode`` and
-``linearized_periods``, so only a process that integrates loads it.
+scipy is imported inside the three functions that call it, ``_vode``,
+``_mass_solver`` and ``linearized_periods``, so only a process that
+integrates loads it.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -620,6 +622,15 @@ class ControllerGains:
                 raise ValueError(f"{name} must be positive")
             object.__setattr__(self, name, tuple(vals))
 
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kp_pos, kp_vel, ki_vel) as read-only arrays, built once for the
+        control law."""
+        out = tuple(np.array(getattr(self, name)) for name in ("kp_pos", "kp_vel", "ki_vel"))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
 
 def controller(
     gains: ControllerGains,
@@ -636,16 +647,14 @@ def controller(
     Returns the (saturated) motor torque and the integrator rate, which is
     the inner-loop velocity error.
     """
-    kp = np.asarray(gains.kp_pos)
-    kv = np.asarray(gains.kp_vel)
-    ki = np.asarray(gains.ki_vel)
+    kp, kv, ki = gains.arrays
     v_cmd = qd_des + kp * (q_des - q_motor)
     e_v = v_cmd - qd_motor
     tau = kv * e_v + ki * integrator
     if tau_ff is not None:
         tau = tau + tau_ff
     if tau_limit is not None:
-        tau = np.clip(tau, -tau_limit, tau_limit)
+        tau = np.minimum(np.maximum(tau, -tau_limit), tau_limit)
     return tau, e_v
 
 
@@ -758,6 +767,63 @@ def _feedforward_table(
     M, f = model.mass_and_forces(np.concatenate((qdes @ S.T, qddes @ S.T), axis=-1))
     tau = ((M @ (qdddes @ S.T)[..., None])[..., 0] - f) @ S
     return ts, tau
+
+
+def _interpolator(ts: np.ndarray, values: np.ndarray):
+    """Lookup t -> row of values (T, k), linear between the increasing knots
+    ts and held at the first and last rows outside them.
+
+    It takes np.interp's branches (a knot returns its row) and arithmetic,
+    slope * (t - t_j) + v_j with the slope (v_j+1 - v_j) / (t_j+1 - t_j),
+    on all k columns of one row at once, so it gives the bits of np.interp
+    run column by column.
+    """
+    knots = ts.tolist()
+    last = len(knots) - 1
+    slopes = np.diff(values, axis=0) / np.diff(ts)[:, None]
+
+    def at(t: float) -> np.ndarray:
+        j = bisect.bisect_right(knots, t) - 1
+        if j < 0:
+            return values[0]
+        if j == last or t == knots[j]:
+            return values[j]
+        return slopes[j] * (t - knots[j]) + values[j]
+
+    return at
+
+
+def _mass_solver():
+    """solve(t, M, f): the accelerations M^-1 f of one state, M (n, n) and
+    f (n,), or of a batch, M (..., n, n) and f (..., n). SimulationError
+    with t_failure = t if M is not positive definite.
+
+    A single state, which is every f call of the solver, goes straight to
+    LAPACK, bound here once: a Cholesky factorisation (dpotrf) as the
+    guard, then the LU solve (dgesv) that np.linalg.solve runs, which gives
+    its bits. dposv would factorise once, but its solutions differ in the
+    last bits, and VODE's step control turns such roundoff into solver
+    counts up to a fifth apart. The Jacobian's batches keep numpy's batched
+    calls.
+    """
+    from scipy.linalg.lapack import dgesv, dpotrf
+
+    def solve(t: float, M: np.ndarray, f: np.ndarray) -> np.ndarray:
+        if M.ndim == 2:
+            if dpotrf(M, lower=1)[1] == 0:
+                _, _, acc, info = dgesv(M, f)
+                if info == 0:
+                    return acc
+        else:
+            try:
+                np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                return np.linalg.solve(M, f[..., None])[..., 0]
+        raise SimulationError(f"mass matrix not positive definite at t={t:.6f}", t)
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -960,21 +1026,23 @@ def simulate(
     y0 = np.zeros(2 * n + n_int)
     y0[:n] = q0
 
-    tau_ff_t = tau_ff_v = None
+    feedforward = None
     if controlled:
         gains = settings.gains
-        if gains.feedforward:
-            tau_ff_t, tau_ff_v = _feedforward_table(model, plan, t_end, 2e-3)
         # preload the velocity integrator with the gravity-holding torque so
         # the run starts without a droop transient
-        ki = np.asarray(gains.ki_vel)
+        ki = gains.arrays[2]
         hold = model.k_gear * (q0[:3] - q0[3:6])
-        if tau_ff_v is not None:
-            hold = hold - tau_ff_v[0]
+        if gains.feedforward:
+            ts_ff, tau_ff = _feedforward_table(model, plan, t_end, 2e-3)
+            feedforward = _interpolator(ts_ff, tau_ff)
+            hold = hold - tau_ff[0]
         x0 = np.zeros(3)
         mask = ki > 0.0
         x0[mask] = hold[mask] / ki[mask]
         y0[2 * n :] = x0
+
+    solve_mass = _mass_solver()
 
     def rhs(t, y):
         # y is one state (N,) or, for the solver's Jacobian, a batch (N, k);
@@ -985,21 +1053,14 @@ def simulate(
         out = np.empty_like(Y)
         if controlled:
             q_des, qd_des, _ = plan.sample(t)
-            ff = None
-            if tau_ff_t is not None:
-                ff = np.array([np.interp(t, tau_ff_t, tau_ff_v[:, i]) for i in range(3)])
             tau, e_v = controller(
-                settings.gains, Y[..., :3], qd[..., :3], q_des, qd_des, Y[..., 2 * n :], ff,
-                model.tau_limit,
+                settings.gains, Y[..., :3], qd[..., :3], q_des, qd_des, Y[..., 2 * n :],
+                None if feedforward is None else feedforward(t), model.tau_limit,
             )
             force[..., :3] += tau
             out[..., 2 * n :] = e_v
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise SimulationError(f"mass matrix not positive definite at t={t:.6f}", t) from exc
         out[..., :n] = qd
-        out[..., n : 2 * n] = np.linalg.solve(M, force[..., None])[..., 0]
+        out[..., n : 2 * n] = solve_mass(t, M, force)
         return out.T
 
     dt = 1.0 / settings.sample_rate

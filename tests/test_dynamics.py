@@ -954,3 +954,97 @@ class TestMassMatrixGuard:
         with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
             rhs(0.25, Y)
         assert info.value.t_failure == 0.25
+
+
+def numpy_mass_solve(t, M, f):
+    """The RHS's mass solve before the LAPACK path: numpy's Cholesky as
+    the positive-definiteness guard, then numpy's solve."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise dyn.SimulationError(f"mass matrix not positive definite at t={t:.6f}", t) from exc
+    return np.linalg.solve(M, f[..., None])[..., 0]
+
+
+def clip_law(gains, q_motor, qd_motor, q_des, qd_des, integrator, tau_ff, tau_limit):
+    """The control law with the gains read from their tuples on each call
+    and np.clip as the saturation."""
+    kp, kv, ki = (np.asarray(g) for g in (gains.kp_pos, gains.kp_vel, gains.ki_vel))
+    e_v = qd_des + kp * (q_des - q_motor) - qd_motor
+    tau = kv * e_v + ki * integrator
+    tau = tau + tau_ff
+    return np.clip(tau, -tau_limit, tau_limit), e_v
+
+
+class TestRhsFastPaths:
+    """The RHS's per-call paths against the numpy calls they replace.
+    The mass solve runs LAPACK directly; the wheels CI installs may carry
+    another LAPACK build than numpy's, so it is held to 1e-13 of each
+    state's largest acceleration (measured: identical bits). The
+    feedforward lookup and the controller do the same IEEE operations as
+    their references and must give the same bits."""
+
+    def test_mass_solve_matches_numpy(self, small_design):
+        model = dyn.RobotModel(demo_modes(small_design))
+        rng = np.random.default_rng(51)
+        X = rng.normal(0.0, 1.0, (35, 2 * model.n))
+        X[:, 4:6] = rng.uniform(-4.0, 4.0, (35, 2))
+        X[:, 6 : model.n] *= 1e-2
+        M, f = model.mass_and_forces(X)
+        solve = dyn._mass_solver()
+        batch = solve(0.25, M, f)
+        ref = numpy_mass_solve(0.25, M, f)
+        assert batch.shape == ref.shape == f.shape
+        for k in range(X.shape[0]):
+            tol = 1e-13 * np.abs(ref[k]).max()
+            np.testing.assert_allclose(batch[k], ref[k], rtol=0.0, atol=tol)
+            M_k, f_k = model.mass_and_forces(X[k])
+            single = solve(0.25, M_k, f_k)
+            assert single.shape == f_k.shape
+            np.testing.assert_allclose(single, numpy_mass_solve(0.25, M_k, f_k), rtol=0.0,
+                                       atol=tol)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_mass_solve_rejects_indefinite_mass(self, small_design, batched):
+        model = dyn.RobotModel(demo_modes(small_design))
+        X = np.zeros((35, 2 * model.n))
+        X[:, 4:6] = (0.4, -1.1)
+        M, f = model.mass_and_forces(X if batched else X[0])
+        M[..., 7, 7] = -1.0
+        with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
+            dyn._mass_solver()(0.125, M, f)
+        assert info.value.t_failure == 0.125
+
+    def test_feedforward_lookup_gives_interp_bits(self, small_design, short_plan):
+        model = dyn.RobotModel(small_design)
+        ts, tau = dyn._feedforward_table(model, short_plan, short_plan.t_task + 0.15, 2e-3)
+        assert np.ptp(tau, axis=0).min() > 0.0  # every joint moves
+        lookup = dyn._interpolator(ts, tau)
+        rng = np.random.default_rng(52)
+        times = np.concatenate((
+            ts,  # knots, the first and the last among them
+            0.5 * (ts[:-1] + ts[1:]),  # midpoints
+            rng.uniform(0.0, ts[-1], 300),
+            [-1.0, -1e-300, np.nextafter(ts[-1], np.inf), ts[-1] + 0.01, 1e3],
+        ))
+        for t in times.tolist():
+            want = np.array([np.interp(t, ts, tau[:, i]) for i in range(3)])
+            assert lookup(t).tobytes() == want.tobytes(), t
+        # a -0.0 read at its knot keeps its sign, as np.interp's does
+        assert np.signbit(dyn._interpolator(np.array([0.0, 1.0]), np.array([[-0.0], [1.0]]))(0.0))
+
+    def test_controller_gives_clip_law_bits(self, demo_gains):
+        rng = np.random.default_rng(53)
+        k = 40
+        args = [rng.normal(0.0, 0.1, (k, 3)) for _ in range(5)]  # q_M, qd_M, q_d, qd_d, x
+        tau_ff = rng.normal(0.0, 20.0, 3)
+        tau_limit = np.array([50.0, 60.0, 40.0])
+        tau_ref, e_ref = clip_law(demo_gains, *args, tau_ff, tau_limit)
+        saturated = np.abs(tau_ref) == tau_limit
+        assert saturated.any() and not saturated.all()
+        tau, e_v = dyn.controller(demo_gains, *args, tau_ff, tau_limit)
+        assert tau.tobytes() == tau_ref.tobytes() and e_v.tobytes() == e_ref.tobytes()
+        for j in range(k):  # the single states of the solver's f calls
+            tau, e_v = dyn.controller(demo_gains, *(a[j] for a in args), tau_ff, tau_limit)
+            tau_ref, e_ref = clip_law(demo_gains, *(a[j] for a in args), tau_ff, tau_limit)
+            assert tau.tobytes() == tau_ref.tobytes() and e_v.tobytes() == e_ref.tobytes()
