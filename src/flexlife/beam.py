@@ -73,10 +73,11 @@ class Material:
     nu: float  # -
 
     def __post_init__(self):
-        if self.rho <= 0.0 or self.E <= 0.0:
-            raise ValueError("density and Young's modulus must be positive")
+        for name in ("rho", "E"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0.0 <= self.nu < 0.5):
-            raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
+            raise ValueError(f"nu (Poisson ratio) must lie in [0, 0.5), got {self.nu}")
 
     @property
     def G(self) -> float:

@@ -22,7 +22,7 @@ from .config import ConfigError, load_config, parse_fatigue_material
 from .design import SweepOutcome, link_stress_histories, pareto_front as extract_front
 from .design import CandidateResult, run_sweep
 from .dynamics import SimulationError, simulate
-from .stress import check_sample_times, read_stress_csv, write_stress_csv
+from .stress import read_stress_csv, write_stress_csv
 from .trajectory import plan_joint_move
 
 EXIT_INPUT = 2
@@ -170,7 +170,6 @@ def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
             raise ConfigError("series CSV needs columns 't' and 'sigma'")
         t = np.atleast_1d(data["t"])
         sigma = np.atleast_1d(data["sigma"])
-        check_sample_times(t)
         series = rfc.extract_extrema(t, sigma, gate)
     except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))

@@ -31,10 +31,13 @@ class CandidateGrid:
     t2_values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.t1_values or not self.t2_values:
-            raise ValueError("thickness grids must not be empty")
-        object.__setattr__(self, "t1_values", tuple(float(t) for t in self.t1_values))
-        object.__setattr__(self, "t2_values", tuple(float(t) for t in self.t2_values))
+        for name in ("t1_values", "t2_values"):
+            values = tuple(float(t) for t in getattr(self, name))
+            if not values:
+                raise ValueError("thickness grids must not be empty")
+            if min(values) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {min(values)}")
+            object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
         return len(self.t1_values) * len(self.t2_values)
@@ -140,6 +143,10 @@ class SweepSettings:
     jobs: int = 1
     only_pareto_fatigue: bool = False
     keep_histories: bool = False
+
+    def __post_init__(self):
+        if self.hysteresis_gate < 0.0:
+            raise ValueError(f"hysteresis_gate must be >= 0, got {self.hysteresis_gate}")
 
 
 @dataclass

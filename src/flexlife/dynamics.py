@@ -96,10 +96,11 @@ class DriveParams:
     torque_limit: float = math.inf
 
     def __post_init__(self):
-        if min(self.rotor_inertia, self.gear_ratio, self.stiffness) <= 0.0:
-            raise ValueError("rotor inertia, gear ratio and stiffness must be positive")
-        if self.damping < 0.0 or self.torque_limit <= 0.0:
-            raise ValueError("damping must be >= 0 and torque limit positive")
+        for name in ("rotor_inertia", "gear_ratio", "stiffness", "torque_limit"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.damping < 0.0:
+            raise ValueError(f"damping must be >= 0, got {self.damping}")
 
     @property
     def reflected_inertia(self) -> float:
@@ -125,6 +126,11 @@ class LinkParams:
     stress_z: float | None = None
 
     def __post_init__(self):
+        for name in ("length", "wall_thickness"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.damping_beta < 0.0:
+            raise ValueError(f"damping_beta must be >= 0, got {self.damping_beta}")
         if not (0.0 <= self.xi_crit <= self.length):
             raise ValueError(f"xi_crit={self.xi_crit} outside the link span [0, {self.length}]")
 
@@ -138,17 +144,20 @@ class RobotDesign:
     edge_length: float
     links: tuple[LinkParams, LinkParams]
     drives: tuple[DriveParams, DriveParams, DriveParams]
-    hub1_inertia: float
-    hub2_mass: float
-    hub2_inertia: float
-    payload_mass: float
+    hub1_inertia: float = 0.0
+    hub2_mass: float = 0.0
+    hub2_inertia: float = 0.0
+    payload_mass: float = 0.0
     gravity: tuple[float, float, float] = GRAVITY_DEFAULT
 
     def __post_init__(self):
         if len(self.links) != 2 or len(self.drives) != 3:
             raise ValueError("the arm has exactly two elastic links and three drives")
-        if min(self.hub1_inertia, self.hub2_mass, self.hub2_inertia, self.payload_mass) < 0.0:
-            raise ValueError("masses and inertias must be non-negative")
+        if self.edge_length <= 0.0:
+            raise ValueError(f"edge_length must be positive, got {self.edge_length}")
+        for name in ("hub1_inertia", "hub2_mass", "hub2_inertia", "payload_mass"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def beam_spec(self, index: int) -> BeamSpec:
         link = self.links[index]
@@ -674,10 +683,11 @@ class SimSettings:
     gains: ControllerGains | None = None
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.rtol, self.atol, self.sample_rate)):
-            raise ValueError("tolerances and sample rate must be positive and finite")
+        for name in ("rtol", "atol", "sample_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.t_settle is not None and not 0.0 < self.t_settle < math.inf:
-            raise ValueError("t_settle must be None or positive and finite")
+            raise ValueError(f"t_settle must be None or positive and finite, got {self.t_settle}")
         if self.initial_elastic not in ("static", "zero"):
             raise ValueError("initial_elastic must be 'static' or 'zero'")
 

@@ -28,8 +28,6 @@ import numpy as np
 from . import rainflow
 from .stress import StressHistory, tresca_history
 
-N_LCF_DEFAULT = 2.0e4
-N_HCF_DEFAULT = 2.0e6
 # angles[k + h] - angles[k] may miss pi/2 by this much and still pair planes
 _PAIR_ATOL = 1e-12
 
@@ -41,13 +39,16 @@ class FatigueMaterial:
     yield_strength: float  # R_e, Pa
     fatigue_strength: float  # sigma_w (fully reversed), Pa
     haigh: tuple[tuple[float, float], ...] = ()
-    n_lcf: float = N_LCF_DEFAULT
-    n_hcf: float = N_HCF_DEFAULT
+    n_lcf: float = 2.0e4
+    n_hcf: float = 2.0e6
 
     def __post_init__(self):
         re_, sw = self.yield_strength, self.fatigue_strength
         if not (0.0 < sw < re_):
-            raise ValueError(f"need 0 < sigma_w < R_e, got sigma_w={sw}, R_e={re_}")
+            raise ValueError(
+                "need 0 < fatigue_strength < yield_strength, got "
+                f"fatigue_strength={sw}, yield_strength={re_}"
+            )
         if not (1.0 < self.n_lcf < self.n_hcf):
             raise ValueError("Woehler anchors must satisfy 1 < n_lcf < n_hcf")
         pts = tuple((float(m), float(a)) for m, a in self.haigh) or ((0.0, sw), (re_, 0.0))

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stress import check_sample_times
+
 
 @dataclass(frozen=True)
 class ExtremaSeries:
@@ -118,9 +120,10 @@ def _alternating(values: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.
 def extract_extrema(times, sigma, hysteresis_gate: float = 0.0) -> ExtremaSeries:
     """Reduce a sampled history to alternating extrema.
 
-    Endpoints are retained; interior points survive only as strict local
-    extrema. With a positive gate, oscillations of range below the gate
-    are removed (smallest first) before counting.
+    The sample times must be finite and never decrease. Endpoints are
+    retained; interior points survive only as strict local extrema. With a
+    positive gate, oscillations of range below the gate are removed
+    (smallest first) before counting.
     """
     sigma = np.asarray(sigma, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -128,6 +131,7 @@ def extract_extrema(times, sigma, hysteresis_gate: float = 0.0) -> ExtremaSeries
         raise ValueError("stress history must be a non-empty 1-d array")
     if times.shape != sigma.shape:
         raise ValueError("time grid and history must have equal length")
+    check_sample_times(times)
     if not np.all(np.isfinite(sigma)):
         raise ValueError("stress history contains non-finite values")
     if sigma.size < 2:

@@ -375,6 +375,59 @@ class TestCountKeys:
         assert "Traceback" not in result.output
 
 
+def _set(path: str, value):
+    """Edit of a raw config: set the value at a dotted path whose integer
+    parts index lists."""
+    def edit(raw):
+        *parents, leaf = [int(p) if p.isdigit() else p for p in path.split(".")]
+        for p in parents:
+            raw = raw[p]
+        raw[leaf] = value
+    return edit
+
+
+# (edit of the fast config, key path the error must name); before strict
+# reading these ended in a TypeError traceback (null), loaded NaN or a
+# string as a boolean, or loaded a wall that no tube section has
+BAD_INPUTS = {
+    "gravity-null": (_set("robot.gravity.1", None), "robot.gravity[1]"),
+    "gravity-nan": (_set("robot.gravity.2", float("nan")), "robot.gravity[2]"),
+    "haigh-null": (_set("fatigue.material.haigh", [[0.0, 8e5], [None, 4e5], [8e7, 0.0]]),
+                   "fatigue.material.haigh[1][0]"),
+    "haigh-nan": (_set("fatigue.material.haigh", [[0.0, 8e5], [float("nan"), 4e5], [8e7, 0.0]]),
+                  "fatigue.material.haigh[1][0]"),
+    "t1-null": (_set("sweep.t1_values.1", None), "sweep.t1_values[1]"),
+    "t1-negative": (_set("sweep.t1_values.0", -0.001), "sweep.t1_values[0]"),
+    "feedforward-string": (_set("robot.controller.feedforward", "false"),
+                           "robot.controller.feedforward"),
+    "include-residue-string": (_set("fatigue.include_residue", "false"),
+                               "fatigue.include_residue"),
+    "output-dir-number": (_set("output_dir", 5), "output_dir"),
+    "link-wall-too-thick": (_set("robot.links.1.wall_thickness", 0.0175),
+                            "robot.links[1].wall_thickness"),
+    "grid-walls-too-thick": (_set("sweep.t2_values", [0.02]), "sweep.t2_values[0]"),
+    "reference-too-thick": (_set("sweep.reference.1", 0.018), "sweep.reference[1]"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_value_names_key_path_exit_2(runner, tmp_path, name):
+    edit, key_path = BAD_INPUTS[name]
+    p = fast_config(tmp_path)
+    raw = json.loads(p.read_text())
+    edit(raw)
+    p.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value).startswith(key_path + ":")
+    for command in ("simulate", "sweep"):
+        result = runner.invoke(main, [command, "--config", str(p),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert key_path in result.output
+        assert "Traceback" not in result.output
+
+
 def test_integral_float_counts_load(tmp_path):
     cfg = load_config(fast_config(tmp_path, **{"fatigue.n_angles": 73.0, "sweep.jobs": 2.0}))
     assert cfg.n_angles == 73 and isinstance(cfg.n_angles, int)

@@ -66,6 +66,11 @@ class TestCandidateGrid:
         with pytest.raises(ValueError):
             dsg.CandidateGrid(t1_values=(), t2_values=(1 * MM,))
 
+    @pytest.mark.parametrize("t", [0.0, -1 * MM])
+    def test_nonpositive_thickness_rejected(self, t):
+        with pytest.raises(ValueError, match="t2_values must be positive"):
+            dsg.CandidateGrid(t1_values=(1 * MM,), t2_values=(2 * MM, t))
+
 
 class TestMassCriterion:
     def test_reference_is_zero(self, small_design):

@@ -298,6 +298,14 @@ class TestLinkParams:
         with pytest.raises(ValueError, match="xi_crit"):
             dyn.LinkParams(length=0.6, wall_thickness=0.004, xi_crit=0.7)
 
+    @pytest.mark.parametrize("field, value", [
+        ("length", 0.0), ("wall_thickness", -0.004), ("damping_beta", -1e-5),
+    ])
+    def test_out_of_range_field_named(self, field, value):
+        kw = {"length": 0.6, "wall_thickness": 0.004, field: value}
+        with pytest.raises(ValueError, match=field):
+            dyn.LinkParams(**kw)
+
 
 class TestSimSettings:
     # unchecked, each of these reaches simulate and fails there with an

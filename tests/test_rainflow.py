@@ -87,6 +87,15 @@ class TestExtractExtrema:
         with pytest.raises(ValueError, match="non-finite"):
             extract_extrema(np.arange(5.0), sig)
 
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, 1.0, 3.0, 2.0, 4.0], "backwards at index 3: t = 2.0 after 3.0"),
+        ([0.0, 1.0, np.nan, 3.0, 4.0], "non-finite sample times"),
+    ], ids=["backwards", "nan"])
+    def test_bad_sample_times_rejected(self, times, message):
+        # a library caller once got extrema of a shuffled history silently
+        with pytest.raises(ValueError, match=message):
+            extract_extrema(np.array(times), [0.0, 1.0, -1.0, 2.0, -2.0])
+
 
 class TestCountCycles:
     def test_demo_sequence_astm_counts(self):
