@@ -236,7 +236,8 @@ def run_sweep(
     if settings.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=settings.jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(settings.jobs, len(tasks))) as pool:
             raw = list(pool.map(_evaluate_candidate, tasks))
     else:
         raw = [_evaluate_candidate(t) for t in tasks]

@@ -12,10 +12,17 @@ overtaken by the range after it is a closed cycle, and removing it leaves
 the rest of the count unchanged. ``count_cycles`` removes such cycles a
 whole level at a time with numpy passes, then lets the loop count the
 few points left, so the order of the returned cycles is unspecified.
+
+``bin_cycles`` finds a cycle's bin on each axis from the uniform bin
+width, floor((x - lo) * n / (hi - lo)), and corrects that guess by one
+comparison with each of its two edges, so the bin is exactly the one
+``np.searchsorted`` finds on the edges. Bins too narrow for the rounding
+of their edges are looked up with ``np.searchsorted`` itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +71,9 @@ class CycleSet:
         w = np.asarray(self.weight, dtype=float)
         if not (m.shape == a.shape == w.shape):
             raise ValueError("mean, amplitude and weight must have equal shapes")
+        # a finite history near the largest float can overflow 0.5 * (a + b)
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(a))):
+            raise ValueError("cycle means and amplitudes must be finite")
         if np.any(a < 0.0):
             raise ValueError("cycle amplitudes must be non-negative")
         if a.size and not np.all(np.isin(w, (0.5, 1.0))):
@@ -104,17 +114,24 @@ class RainflowMatrix:
 
 
 def _alternating(values: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop repeats and interior non-extrema, keeping both endpoints."""
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = np.diff(values) != 0.0
-    v, t = values[keep], times[keep]
-    if v.size <= 2:
-        return v, t
-    # compare directions: the product of two tiny differences can underflow to 0
-    up = np.diff(v) > 0.0
-    interior = up[:-1] != up[1:]
-    mask = np.concatenate(([True], interior, [True]))
-    return v[mask], t[mask]
+    """Drop repeats and interior non-extrema of a finite history, keeping
+    both endpoints. Returns new arrays, never views of the arguments."""
+    repeat = values[1:] == values[:-1]
+    if repeat.any():
+        # plateaus: drop the repeats first
+        keep = np.ones(values.size, dtype=bool)
+        np.logical_not(repeat, out=keep[1:])
+        values, times = values[keep], times[keep]
+    if values.size <= 2:
+        return values.copy(), times.copy()
+    # compare directions: the product of two tiny differences can underflow
+    # to 0; b > a is the sign of b - a, found without the differences
+    up = values[1:] > values[:-1]
+    mask = np.empty(values.size, dtype=bool)
+    mask[0] = mask[-1] = True
+    np.not_equal(up[:-1], up[1:], out=mask[1:-1])
+    idx = np.flatnonzero(mask)
+    return values[idx], times[idx]
 
 
 def extract_extrema(times, sigma, hysteresis_gate: float = 0.0) -> ExtremaSeries:
@@ -239,14 +256,45 @@ def _edges(lo: float, hi: float, n: int) -> np.ndarray:
     if lo == hi:
         delta = max(abs(lo) * 1e-9, 1e-9)
         lo, hi = lo - delta, hi + delta
+    elif not math.isfinite(hi - lo):
+        raise ValueError(f"cycle values from {lo!r} to {hi!r} span more than the float range")
     return np.linspace(lo, hi, n + 1)
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each x in [edges[0], edges[-1]] on a finite linspace grid of
+    n bins: exactly clip(searchsorted(edges, x, "right") - 1, 0, n - 1).
+
+    The guess floor((x - lo) * n / (hi - lo)) and the rounded edges are
+    both within 2**-10 bin widths of the exact position when the bins are
+    wide against the rounding of the edges, (hi - lo) / n >= 2**-40 * max(
+    |lo|, |hi|), and normal, (hi - lo) / n >= 2**-1000. Then the guess is
+    at most one bin off, and one comparison with each of its two edges
+    corrects it. Narrower bins, whose rounded edges may coincide, are
+    looked up with searchsorted.
+    """
+    n = edges.size - 1
+    lo, hi = float(edges[0]), float(edges[n])
+    width = hi - lo
+    if not width >= n * max(2.0**-1000, 2.0**-40 * max(abs(lo), abs(hi))):
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n - 1)
+    guess = x - lo
+    guess *= n / width
+    i = guess.astype(np.intp)  # x >= lo: truncation is floor
+    np.minimum(i, n - 1, out=i)
+    i -= x < edges[i]
+    i += x >= edges[1:][i]
+    return np.clip(i, 0, n - 1, out=i)
 
 
 def bin_cycles(cycles: CycleSet, n_mean: int = 32, n_amp: int = 32) -> RainflowMatrix:
     """Aggregate a cycle set into a rainflow matrix.
 
     The bins span the observed min/max per axis, so total weight is
-    conserved exactly.
+    conserved exactly. A cycle falls in the bin whose left edge is the
+    last one at or below its value, the top edge closing the last bin,
+    as ``np.searchsorted`` on the edges finds it; ``_bin_index`` computes
+    that bin from the uniform spacing and corrects it against the edges.
     """
     if n_mean < 1 or n_amp < 1:
         raise ValueError("bin counts must be >= 1")
@@ -256,7 +304,8 @@ def bin_cycles(cycles: CycleSet, n_mean: int = 32, n_amp: int = 32) -> RainflowM
                               np.zeros((n_mean, n_amp)))
     me = _edges(float(m.min()), float(m.max()), n_mean)
     ae = _edges(float(a.min()), float(a.max()), n_amp)
-    im = np.clip(np.searchsorted(me, m, side="right") - 1, 0, n_mean - 1)
-    ia = np.clip(np.searchsorted(ae, a, side="right") - 1, 0, n_amp - 1)
-    counts = np.bincount(im * n_amp + ia, weights=w, minlength=n_mean * n_amp)
+    flat = _bin_index(m, me)
+    flat *= n_amp
+    flat += _bin_index(a, ae)
+    counts = np.bincount(flat, weights=w, minlength=n_mean * n_amp)
     return RainflowMatrix(mean_edges=me, amp_edges=ae, counts=counts.reshape(n_mean, n_amp))

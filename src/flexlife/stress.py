@@ -10,6 +10,7 @@ that plane stress state (sigma_yy = 0 at the free surface).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -61,7 +62,16 @@ def default_stress_point(section: CrossSection, xi_crit: float = 0.0) -> Materia
 
 def check_sample_times(times: np.ndarray) -> None:
     """ValueError unless the sample times are finite and never decrease;
-    names the first sample that is earlier than the one before it."""
+    names the first sample that is earlier than the one before it.
+
+    One pass accepts a good grid: finite ends and no sample below the one
+    before it leave every interior sample finite, since an interior inf or
+    nan fails some comparison. Only a rejected grid is diagnosed."""
+    if times.size == 0 or (
+        math.isfinite(times[0]) and math.isfinite(times[-1])
+        and np.all(times[1:] >= times[:-1])
+    ):
+        return
     if not np.all(np.isfinite(times)):
         raise ValueError("stress history has non-finite sample times")
     back = np.flatnonzero(np.diff(times) < 0.0)

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,22 @@ from flexlife.trajectory import JointLimits, plan_joint_move
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO_ROOT / "configs" / "demo.json"
 MM = 1e-3
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench/workloads.py, loaded from its file (perfbench/ is only read)."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
 
 
 @pytest.fixture(scope="session")

@@ -249,6 +249,25 @@ class TestFatigueCommand:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
 
+    def test_overflowing_tresca_history_exit_2(self, runner, tmp_path):
+        # the Tresca history of these finite stresses overflows; this once
+        # ended in a ValueError traceback from extract_extrema
+        stress = tmp_path / "stress.csv"
+        stress.write_text("t,sigma_xx,sigma_xy\n" + "".join(
+            f"{k},{v},{v}\n" for k, v in enumerate([0.0, 1.7e308, -1.7e308, 1.7e308, 0.0])
+        ))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            result = runner.invoke(
+                main,
+                ["fatigue", str(stress), str(Path(DEMO_CONFIG).parent / "fatigue_material.json"),
+                 "--out-dir", str(out)],
+            )
+        assert result.exit_code == 2
+        assert "error: stress history contains non-finite values" in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "damage_report.json").exists()
+
     def test_malformed_csv_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -278,6 +297,20 @@ class TestRainflowCommand:
         result = runner.invoke(main, ["rainflow", str(series), "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
         assert "non-finite" in result.output
+        assert not (tmp_path / "rainflow_matrix.csv").exists()
+
+    def test_overflowing_cycles_exit_2(self, runner, tmp_path):
+        # finite extrema whose cycle amplitudes overflow were once binned
+        # into nan edges and written with exit 0
+        series = tmp_path / "series.csv"
+        series.write_text("t,sigma\n" + "".join(
+            f"{k},{v}\n" for k, v in enumerate([0.0, 1.7e308, -1.7e308, 1.7e308, 0.0])
+        ))
+        with np.errstate(over="ignore"):
+            result = runner.invoke(main, ["rainflow", str(series), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "error: cycle means and amplitudes must be finite" in result.output
+        assert "Traceback" not in result.output
         assert not (tmp_path / "rainflow_matrix.csv").exists()
 
     @pytest.mark.parametrize("bad_time, message", [

@@ -262,6 +262,35 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="bug in the simulation code"):
             dsg.run_sweep(grid, small_design, short_plan, sweep_settings)
 
+    def test_pool_never_larger_than_the_grid(
+        self, small_design, short_plan, sweep_settings, monkeypatch
+    ):
+        # a fork pool starts all max_workers processes at the first submit;
+        # this executor starts none and runs the candidates in-process
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        grid = dsg.CandidateGrid(t1_values=(1 * MM, 4 * MM), t2_values=(4 * MM,))
+        settings = dataclasses.replace(sweep_settings, jobs=10**6)
+        outcome = dsg.run_sweep(grid, small_design, short_plan, settings)
+        assert sizes == [2]
+        assert [r.error for r in outcome.results] == [None, None]
+
     def test_only_pareto_fatigue_skips_dominated(self, small_design, short_plan, sweep_settings):
         grid = dsg.CandidateGrid(t1_values=(1 * MM, 4 * MM), t2_values=(4 * MM,))
         settings = dataclasses.replace(sweep_settings, only_pareto_fatigue=True)

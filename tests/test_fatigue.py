@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from flexlife import config
 from flexlife import fatigue as fat
 from flexlife import rainflow as rfc
 from flexlife.stress import StressHistory, tresca_history
+from tests.test_rainflow import former_alternating, searchsorted_bin_cycles
 
 MPA = 1e6
 
@@ -401,3 +403,52 @@ class TestPlanePairing:
             report.damage, every_plane_damage(hist, angles, material),
             rtol=self.PAIRED_RTOL, atol=0.0,
         )
+
+
+def former_plane_loop(history, angles, mat, n_mean_bins, n_amp_bins, include_residue):
+    """Per-plane damage of critical_plane_lifetime before the fast
+    extraction and binning: the former _alternating, searchsorted bins,
+    and the pairing of planes pi/2 apart. Without a hysteresis gate."""
+    h = fat._quarter_turn_offset(angles)
+    damage = np.empty(angles.size)
+
+    def score(j, cycles):
+        if len(cycles) == 0:
+            matrix = rfc.bin_cycles(cycles, n_mean_bins, n_amp_bins)
+        else:
+            matrix = searchsorted_bin_cycles(cycles, n_mean_bins, n_amp_bins)
+        damage[j] = fat.accumulate(matrix, mat)
+
+    for k in range(angles.size - h):
+        v, t = former_alternating(tresca_history(history, angles[k]), history.times)
+        cycles = rfc.count_cycles(rfc.ExtremaSeries(v, t), include_residue=include_residue)
+        score(k, cycles)
+        if h and k > 0:
+            score(k + h, rfc.CycleSet(-cycles.mean, cycles.amplitude, cycles.weight))
+    return damage
+
+
+class TestDamageMatchesFormerLoop:
+    """critical_plane_lifetime against the former per-plane loop with the
+    demo settings (73 planes, 32 x 32 bins, residue counted);
+    tolerance 0 (equal damage bytes)."""
+
+    @staticmethod
+    def assert_same_damage(history, mat, t_task):
+        angles = fat.angle_grid(73)
+        report = fat.critical_plane_lifetime(history, angles, mat, t_task)
+        want = former_plane_loop(history, angles, mat, 32, 32, True)
+        assert np.count_nonzero(want) > 0
+        assert report.damage.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", [0, 3])
+    def test_benchmark_records(self, workloads, variant):
+        cfg = config.load_config(workloads.BASE_CONFIG)
+        assert (cfg.n_angles, cfg.n_mean_bins, cfg.n_amp_bins, cfg.hysteresis_gate,
+                cfg.include_residue) == (73, 32, 32, 0.0, True)
+        history = StressHistory(*workloads.make_record(variant))
+        self.assert_same_damage(history, cfg.fatigue_material, workloads.RECORD_T_TASK)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_biaxial_histories(self, material, seed):
+        self.assert_same_damage(biaxial_history(seed), material, 1.0)

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from flexlife.rainflow import (
     CycleSet,
     ExtremaSeries,
+    RainflowMatrix,
+    _alternating,
+    _bin_index,
     _close_inner_cycles,
+    _edges,
     bin_cycles,
     count_cycles,
     extract_extrema,
@@ -401,3 +405,180 @@ class TestBinning:
         cycles = CycleSet(mean=np.array([]), amplitude=np.array([]), weight=np.array([]))
         matrix = bin_cycles(cycles, 4, 4)
         assert matrix.total == 0.0
+
+
+class TestNonFiniteCycles:
+    # finite extrema near the largest float overflow 0.5 * (a + b) and
+    # 0.5 * abs(a - b); the cycles were once binned into nan edges and gave
+    # a wrong damage with only RuntimeWarnings
+    @pytest.mark.parametrize("field", ["mean", "amplitude"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_cycle_set_rejects(self, field, bad):
+        kw = {"mean": np.zeros(3), "amplitude": np.ones(3), "weight": np.ones(3)}
+        kw[field][1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            CycleSet(**kw)
+
+    def test_overflowing_record_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            count_cycles(alternate([0.0, 1.7e308, -1.7e308, 1.7e308, 0.0]))
+
+    def test_means_beyond_the_float_range_rejected(self):
+        cycles = CycleSet(mean=np.array([-1.5e308, 1.5e308]), amplitude=np.ones(2),
+                          weight=np.ones(2))
+        with pytest.raises(ValueError, match="span more than the float range"):
+            bin_cycles(cycles)
+
+
+def searchsorted_bin(x, edges):
+    """The former bin lookup, the oracle of TestBinIndexMatchesSearchsorted."""
+    n = edges.size - 1
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n - 1)
+
+
+def searchsorted_bin_cycles(cycles, n_mean, n_amp):
+    """The former bin_cycles of a non-empty cycle set."""
+    m, a = cycles.mean, cycles.amplitude
+    me = _edges(float(m.min()), float(m.max()), n_mean)
+    ae = _edges(float(a.min()), float(a.max()), n_amp)
+    flat = searchsorted_bin(m, me) * n_amp + searchsorted_bin(a, ae)
+    counts = np.bincount(flat, weights=cycles.weight, minlength=n_mean * n_amp)
+    return RainflowMatrix(me, ae, counts.reshape(n_mean, n_amp))
+
+
+def with_edge_neighbours(x, edges):
+    """x plus every edge and its float neighbours inside [edges[0], edges[-1]]."""
+    near = np.concatenate((edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)))
+    near = near[(near >= edges[0]) & (near <= edges[-1])]
+    return np.concatenate((x, near))
+
+
+class TestBinIndexMatchesSearchsorted:
+    """The arithmetic bin index against searchsorted; tolerance 0 (the
+    same integer for every value)."""
+
+    def assert_exact(self, x, n):
+        x = np.asarray(x, dtype=float)
+        edges = _edges(float(x.min()), float(x.max()), n)
+        x = with_edge_neighbours(x, edges)
+        assert np.array_equal(_bin_index(x, edges), searchsorted_bin(x, edges))
+
+    def test_random_data(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            n = int(rng.integers(1, 80))
+            x = rng.normal(rng.normal(0.0, 1e7), 10.0 ** rng.uniform(-3.0, 8.0),
+                           int(rng.integers(1, 200)))
+            self.assert_exact(x, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 1000])
+    def test_edges_and_their_neighbours(self, n):
+        self.assert_exact([-3.0e7, 1.0, 2.5e7], n)
+        self.assert_exact([0.0, 1.0], n)
+
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("value", [0.0, 3.3, -2e8, 5e-324])
+    def test_single_value(self, n, value):
+        # lo == hi: _edges widens the range around the one value
+        self.assert_exact([value], n)
+
+    @pytest.mark.parametrize("n", [1, 32, 1000])
+    def test_bins_at_the_rounding_limit(self, n):
+        # ranges just wide enough for the arithmetic guess, and narrower
+        # ones, whose rounded edges coincide and are looked up with
+        # searchsorted
+        rng = np.random.default_rng(n)
+        for scale in (2.0**-40 * n * (1.0 + 1e-9), 2.0**-41 * n, 3.0 * 2.0**-52, 0.0):
+            for base in (1.0, -7.5e6, 2.0**1000):
+                hi = base + abs(base) * scale if scale else np.nextafter(base, np.inf)
+                x = np.concatenate(([base, hi], rng.uniform(base, hi, 50)))
+                self.assert_exact(x, n)
+
+    @pytest.mark.parametrize("x", [
+        [0.0, 5e-324], [0.0, 3 * 5e-324, 5e-324], [2.0**-1000, 2.0**-999], [-1e308, 7e307],
+    ], ids=["one-subnormal", "subnormals", "tiny-normals", "huge"])
+    def test_extreme_ranges(self, x):
+        for n in (1, 3, 32):
+            self.assert_exact(x, n)
+
+    def test_bin_cycles_counts(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            size = int(rng.integers(1, 300))
+            cycles = CycleSet(
+                mean=rng.integers(-5, 6, size) * rng.choice([1.0, 0.1, 1e6]),
+                amplitude=np.abs(rng.normal(0.0, 30.0, size)),
+                weight=rng.choice([0.5, 1.0], size),
+            )
+            n_mean, n_amp = (int(k) for k in rng.integers(1, 40, 2))
+            got = bin_cycles(cycles, n_mean, n_amp)
+            want = searchsorted_bin_cycles(cycles, n_mean, n_amp)
+            for name in ("mean_edges", "amp_edges", "counts"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def former_alternating(values, times):
+    """_alternating before its fast path, with the repeat removal always
+    on: the oracle of TestAlternating."""
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = np.diff(values) != 0.0
+    v, t = values[keep], times[keep]
+    if v.size <= 2:
+        return v, t
+    up = np.diff(v) > 0.0
+    interior = up[:-1] != up[1:]
+    mask = np.concatenate(([True], interior, [True]))
+    return v[mask], t[mask]
+
+
+class TestAlternating:
+    """The path without repeats against the plateau path and the former
+    code; tolerance 0 (equal bits)."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_fast_path_matches_plateau_path(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            x = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-300.0, 300.0)
+            t = np.sort(rng.uniform(0.0, 10.0, n))
+            assert np.all(np.diff(x) != 0.0)
+            fast = _alternating(x, t)
+            # a repeated sample takes the plateau path, which drops it again
+            k = int(rng.integers(0, n))
+            plateau = _alternating(np.insert(x, k, x[k]), np.insert(t, k, t[k]))
+            self.assert_same(fast, plateau)
+            self.assert_same(fast, former_alternating(x, t))
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.2e-311, 0.0, 4.2e-70, 0.0],
+        [0.0, 1.7e308, -1.7e308, 1.7e308],
+        [3.0, 3.0, 3.0],
+        [1.0, 1.0, 2.0, 2.0, 0.0, 0.0, 0.0, 5.0],
+    ], ids=["tiny", "huge", "constant", "plateaus"])
+    def test_matches_former_code(self, values):
+        x = np.asarray(values, dtype=float)
+        t = np.arange(float(x.size))
+        with np.errstate(over="ignore"):
+            self.assert_same(_alternating(x, t), former_alternating(x, t))
+
+    def test_integer_histories_with_plateaus(self):
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            x = rng.integers(-2, 3, int(rng.integers(1, 60))).astype(float)
+            t = np.arange(float(x.size))
+            self.assert_same(_alternating(x, t), former_alternating(x, t))
+
+    @pytest.mark.parametrize("values", [
+        [1.0], [1.0, 2.0], [1.0, 1.0], [1.0, 2.0, 2.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.5, 2.0],
+    ])
+    def test_never_a_view_of_the_input(self, values):
+        x = np.asarray(values, dtype=float)
+        t = np.arange(float(x.size))
+        v, tt = _alternating(x, t)
+        assert not np.shares_memory(v, x)
+        assert not np.shares_memory(tt, t)

@@ -5,30 +5,12 @@ perfbench/reference.json. The benchmark runner makes the same check; this
 one runs with the Tier-1 suite. perfbench/ is only read."""
 
 import hashlib
-import importlib.util
-import sys
 
 import numpy as np
 import pytest
 
 from flexlife import config, fatigue
 from flexlife.stress import StressHistory
-from tests.conftest import REPO_ROOT
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    name = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[name]
 
 
 @pytest.mark.parametrize("variant", range(8))

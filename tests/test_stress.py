@@ -222,3 +222,33 @@ class TestStressHistoryChecks:
     def test_repeated_time_accepted(self):
         hist = st.StressHistory(np.array([0.0, 0.1, 0.1, 0.2]), np.zeros(4), np.zeros(4))
         assert len(hist) == 4
+
+
+class TestCheckSampleTimes:
+    """The one-pass accept keeps the former diagnosis of a bad grid; the
+    messages are compared whole."""
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 1.0, np.inf, 3.0],
+        [0.0, np.inf, np.inf, 3.0],
+        [-np.inf, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, np.inf],
+        [0.0, np.nan, 2.0, 3.0],
+        [0.0, 1.0, -np.inf, 3.0],
+    ], ids=["interior-inf", "interior-inf-run", "leading-minus-inf", "trailing-inf",
+            "nan", "interior-minus-inf"])
+    def test_non_finite_message(self, times):
+        with pytest.raises(ValueError) as err:
+            st.check_sample_times(np.array(times))
+        assert str(err.value) == "stress history has non-finite sample times"
+
+    def test_backwards_message(self):
+        with pytest.raises(ValueError) as err:
+            st.check_sample_times(np.array([0.0, 1.0, 3.0, 2.0, 1.0]))
+        assert str(err.value) == "sample times go backwards at index 3: t = 2.0 after 3.0"
+
+    @pytest.mark.parametrize("times", [
+        [], [5.0], [0.0, 0.0], [0.0, 0.1, 0.1, 0.2], [-1.7e308, 1.7e308],
+    ], ids=["empty", "one", "repeat", "repeats", "overflowing-step"])
+    def test_accepted(self, times):
+        st.check_sample_times(np.array(times, dtype=float))
