@@ -141,10 +141,11 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
     if t_task <= 0.0:
         _fail(EXIT_INPUT, "t_task must be positive (pass --t-task for single-point histories)")
     try:
-        report = fat.critical_plane_lifetime(
-            history, fat.angle_grid(angles), material, t_task,
-            n_mean_bins=mean_bins, n_amp_bins=amp_bins, hysteresis_gate=gate,
-        )
+        with np.errstate(over="ignore"):  # overflow ends in a finiteness error
+            report = fat.critical_plane_lifetime(
+                history, fat.angle_grid(angles), material, t_task,
+                n_mean_bins=mean_bins, n_amp_bins=amp_bins, hysteresis_gate=gate,
+            )
     except ValueError as exc:  # e.g. a Tresca history that overflows
         _fail(EXIT_INPUT, str(exc))
     out = Path(out_dir)
@@ -173,9 +174,10 @@ def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
             raise ConfigError("series CSV needs columns 't' and 'sigma'")
         t = np.atleast_1d(data["t"])
         sigma = np.atleast_1d(data["sigma"])
-        series = rfc.extract_extrema(t, sigma, gate)
-        cycles = rfc.count_cycles(series)
-        matrix = rfc.bin_cycles(cycles, mean_bins, amp_bins)
+        with np.errstate(over="ignore"):  # overflow ends in a finiteness error
+            series = rfc.extract_extrema(t, sigma, gate)
+            cycles = rfc.count_cycles(series)
+            matrix = rfc.bin_cycles(cycles, mean_bins, amp_bins)
     except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
     out = Path(out_dir)

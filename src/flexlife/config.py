@@ -181,6 +181,7 @@ def _robot(value, path: str) -> tuple[RobotDesign, ControllerGains]:
     design = _build(RobotDesign, path, **kw)
     for k, link in enumerate(design.links):
         _check_wall(design, f"{path}.links[{k}].wall_thickness", link.wall_thickness)
+        _build(design.beam_spec, f"{path}.links[{k}].modes", index=k)  # shape counts
     return design, gains
 
 
@@ -263,7 +264,7 @@ def _build_config(raw: dict) -> RunConfig:
     grid = _build(CandidateGrid, "sweep",
                   t1_values=sweep.pop("t1_values"), t2_values=sweep.pop("t2_values"))
     fat = top.pop("fatigue")
-    # of the values read here only fatigue.hysteresis_gate is left to check
+    # of the values read here the gate and the count bounds are left to check
     settings = _build(SweepSettings, "fatigue", sim=sim,
                       fatigue_material=fat.pop("material"), **fat, **sweep)
     shared = {name: getattr(settings, name) for name in _SWEEP_FIELDS}

@@ -147,6 +147,12 @@ class SweepSettings:
     def __post_init__(self):
         if self.hysteresis_gate < 0.0:
             raise ValueError(f"hysteresis_gate must be >= 0, got {self.hysteresis_gate}")
+        # bounded so a huge count fails before any candidate runs: cutting
+        # planes at most 0.05 degrees apart, a rainflow matrix of <= 8 MB
+        for name, most in (("n_angles", 3601), ("n_mean_bins", 1000), ("n_amp_bins", 1000)):
+            count = getattr(self, name)
+            if not 1 <= count <= most:
+                raise ValueError(f"{name} must lie in [1, {most}], got {count:g}")
 
 
 @dataclass
@@ -204,15 +210,15 @@ def candidate_lifetime(
 
 
 def _evaluate_candidate(args):
-    config, t1, t2, base, plan, settings = args
+    t1, t2, base, plan, settings = args
     design = base.with_thicknesses(t1, t2)
     try:
         result = simulate(design, plan, settings.sim)
         j_vib = vibration_criterion(result)
         histories = link_stress_histories(design, result)
-        return config, j_vib, histories, None
+        return j_vib, histories, None
     except (SimulationError, ValueError) as exc:  # LinAlgError is a ValueError
-        return config, math.nan, None, f"{type(exc).__name__}: {exc}"
+        return math.nan, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(
@@ -230,9 +236,8 @@ def run_sweep(
     the sweep continues; any other exception propagates.
     """
     reference = base_design.with_thicknesses(*settings.reference)
-    tasks = [
-        (config, t1, t2, base_design, plan, settings) for config, t1, t2 in grid.candidates()
-    ]
+    cells = list(grid.candidates())
+    tasks = [(t1, t2, base_design, plan, settings) for _, t1, t2 in cells]
     if settings.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -240,12 +245,11 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=min(settings.jobs, len(tasks))) as pool:
             raw = list(pool.map(_evaluate_candidate, tasks))
     else:
-        raw = [_evaluate_candidate(t) for t in tasks]
-    raw.sort(key=lambda r: r[0])
+        raw = [_evaluate_candidate(t) for t in tasks]  # like pool.map, in task order
 
     results: list[CandidateResult] = []
     histories: dict[int, tuple[StressHistory, StressHistory]] = {}
-    for (config, t1, t2, _, _, _), (_, j_vib, hists, err) in zip(tasks, raw):
+    for (config, t1, t2), (j_vib, hists, err) in zip(cells, raw):
         design = base_design.with_thicknesses(t1, t2)
         try:
             j_mass = mass_criterion(design, reference)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beam import BeamSpec, Material, RitzBasis, quadrature, section_properties, shape_basis
-from .beam import curvature_map, stiffness_matrix
+from .beam import curvature_map, gram, rotation_rows, shape_rows, stiffness_matrix
 from .trajectory import TrajectoryPlan
 
 _EX = np.array([1.0, 0.0, 0.0])
@@ -244,56 +244,28 @@ class _BeamData:
         xi, wts = quadrature(spec)
         rho = spec.material.rho
         rhoA = rho * spec.section.A_B
-        m = spec.n_elastic
-        i0, i1 = spec.n_theta, spec.n_theta + spec.n_v
 
-        V = basis.v(xi, 0)
-        W = basis.w(xi, 0)
-        Vp = basis.v(xi, 1)
-        Wp = basis.w(xi, 1)
-        Th = basis.theta(xi, 0)
-
-        self.spec = spec
-        self.m = m
+        self.m = spec.n_elastic
         self.L = spec.L
         self.mb = rhoA * spec.L
         self.s1 = rhoA * spec.L**2 / 2.0
         self.s2 = rhoA * spec.L**3 / 3.0
 
-        rw = np.sqrt(wts)  # sqrt-weighted products keep Gram blocks symmetric
-        P0 = np.zeros((3, m))
-        P0[1, i0:i1] = rhoA * (V @ wts)
-        P0[2, i1:] = rhoA * (W @ wts)
-        P1 = np.zeros((3, m))
-        P1[1, i0:i1] = rhoA * ((xi * V) @ wts)
-        P1[2, i1:] = rhoA * ((xi * W) @ wts)
-        PP = np.zeros((m, m))
-        PP[i0:i1, i0:i1] = rhoA * (V * rw) @ (V * rw).T
-        PP[i1:, i1:] = rhoA * (W * rw) @ (W * rw).T
-        self.P0, self.P1, self.PP = P0, P1, 0.5 * (PP + PP.T)
+        self.P0 = rhoA * shape_rows(spec, basis, xi, (None, 0, 0), lambda f: f @ wts)
+        self.P1 = rhoA * shape_rows(spec, basis, xi, (None, 0, 0), lambda f: (xi * f) @ wts)
+        self.PP = gram(spec, basis, (0, 0, 0), (None, rhoA, rhoA))
 
         D = np.diag([rho * spec.section.I_D, rho * spec.section.I_y, rho * spec.section.I_z])
         self.D = D
         self.DL = D * spec.L
-        SPsi = np.zeros((3, m))
-        SPsi[0, :i0] = Th @ wts
-        SPsi[1, i1:] = -basis.w(spec.L, 0)  # int of -w' = -w(L)
-        SPsi[2, i0:i1] = basis.v(spec.L, 0)
-        self.DSPsi = D @ SPsi
-        RPsi = np.zeros((m, m))
-        RPsi[:i0, :i0] = D[0, 0] * (Th * rw) @ (Th * rw).T
-        RPsi[i0:i1, i0:i1] = D[2, 2] * (Vp * rw) @ (Vp * rw).T
-        RPsi[i1:, i1:] = D[1, 1] * (Wp * rw) @ (Wp * rw).T
-        self.RPsi = 0.5 * (RPsi + RPsi.T)
+        # int Psi = (int theta, -w(L), v(L)): torsion by quadrature, bending exact
+        SPsi = shape_rows(spec, basis, xi, (0, None, None), lambda f: f @ wts)
+        SPsi += shape_rows(spec, basis, spec.L, (None, 0, 0))
+        self.DSPsi = D @ rotation_rows(spec, SPsi)
+        self.RPsi = gram(spec, basis, (0, 1, 1), (D[0, 0], D[2, 2], D[1, 1]))
 
-        PhiL = np.zeros((3, m))
-        PhiL[1, i0:i1] = basis.v(spec.L, 0)
-        PhiL[2, i1:] = basis.w(spec.L, 0)
-        PsiL = np.zeros((3, m))
-        PsiL[0, :i0] = basis.theta(spec.L, 0)
-        PsiL[1, i1:] = -basis.w(spec.L, 1)
-        PsiL[2, i0:i1] = basis.v(spec.L, 1)
-        self.PhiL, self.PsiL = PhiL, PsiL
+        self.PhiL = shape_rows(spec, basis, spec.L, (None, 0, 0))
+        self.PsiL = rotation_rows(spec, shape_rows(spec, basis, spec.L, (0, 1, 1)))
 
         self.K = stiffness_matrix(spec, basis)
 

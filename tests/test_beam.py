@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,17 @@ class TestSectionProperties:
     def test_invalid_walls_rejected(self, a, t):
         with pytest.raises(ValueError):
             beam.section_properties(a, t)
+
+
+class TestBeamSpec:
+    def test_mode_counts_bounded(self, steel):
+        sec = beam.section_properties(0.035, 0.004)
+        spec = beam.BeamSpec(L=0.7, section=sec, material=steel, n_v=10, n_w=10, n_theta=10)
+        assert spec.n_elastic == 3 * beam.MAX_MODES
+        for counts in ((11, 1, 1), (1, 11, 1), (1, 1, 11), (0, 1, 1)):
+            with pytest.raises(ValueError, match="shape-function counts"):
+                beam.BeamSpec(L=0.7, section=sec, material=steel,
+                              **dict(zip(("n_v", "n_w", "n_theta"), counts)))
 
 
 class TestMaterial:
@@ -205,3 +217,191 @@ class TestCurvature:
         kappa_root = float(basis.v(0.0, 2) @ qv)
         analytic = F * spec.L / (steel.E * sec.I_z)
         assert kappa_root == pytest.approx(analytic, rel=0.02)
+
+
+# --- reference: the hand-written (theta, v, w) layout that shape_rows and
+# gram replaced, kept verbatim (mode functions included) for the
+# differential test below
+
+
+def _ref_bending_modes(L, n, xi, deriv=0):
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 0
+    x = np.atleast_1d(xi)
+    out = np.empty((n, x.size))
+    for k in range(1, n + 1):
+        beta = beam.clamped_free_root(k) / L
+        bl = beta * L
+        sigma = (math.cosh(bl) + math.cos(bl)) / (math.sinh(bl) + math.sin(bl))
+        bx = beta * x
+        if deriv == 0:
+            out[k - 1] = np.cosh(bx) - np.cos(bx) - sigma * (np.sinh(bx) - np.sin(bx))
+        elif deriv == 1:
+            out[k - 1] = beta * (np.sinh(bx) + np.sin(bx) - sigma * (np.cosh(bx) - np.cos(bx)))
+        elif deriv == 2:
+            out[k - 1] = beta**2 * (np.cosh(bx) + np.cos(bx) - sigma * (np.sinh(bx) + np.sin(bx)))
+        else:
+            raise ValueError(f"unsupported derivative order {deriv}")
+    return out[:, 0] if scalar else out
+
+
+def _ref_torsion_modes(L, n, xi, deriv=0):
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 0
+    x = np.atleast_1d(xi)
+    out = np.empty((n, x.size))
+    for k in range(1, n + 1):
+        lam = (2 * k - 1) * math.pi / (2.0 * L)
+        if deriv == 0:
+            out[k - 1] = np.sin(lam * x)
+        elif deriv == 1:
+            out[k - 1] = lam * np.cos(lam * x)
+        elif deriv == 2:
+            out[k - 1] = -(lam**2) * np.sin(lam * x)
+        else:
+            raise ValueError(f"unsupported derivative order {deriv}")
+    return out[:, 0] if scalar else out
+
+
+class _RefBasis:
+    def __init__(self, spec):
+        self.spec = spec
+
+    def v(self, xi, deriv=0):
+        return _ref_bending_modes(self.spec.L, self.spec.n_v, xi, deriv)
+
+    def w(self, xi, deriv=0):
+        return _ref_bending_modes(self.spec.L, self.spec.n_w, xi, deriv)
+
+    def theta(self, xi, deriv=0):
+        return _ref_torsion_modes(self.spec.L, self.spec.n_theta, xi, deriv)
+
+
+def _ref_stiffness_matrix(spec, basis):
+    xi, wts = beam.quadrature(spec)
+    E = spec.material.E
+    G = spec.material.G
+    sec = spec.section
+    rw = np.sqrt(wts)
+    tp = basis.theta(xi, 1) * rw
+    vpp = basis.v(xi, 2) * rw
+    wpp = basis.w(xi, 2) * rw
+    k_t = G * sec.I_D * tp @ tp.T
+    k_v = E * sec.I_z * vpp @ vpp.T
+    k_w = E * sec.I_y * wpp @ wpp.T
+    m = spec.n_elastic
+    K = np.zeros((m, m))
+    i0, i1 = spec.n_theta, spec.n_theta + spec.n_v
+    K[:i0, :i0] = k_t
+    K[i0:i1, i0:i1] = k_v
+    K[i1:, i1:] = k_w
+    return 0.5 * (K + K.T)
+
+
+def _ref_bending_mass_matrix(spec):
+    xi, wts = beam.quadrature(spec)
+    v = _ref_bending_modes(spec.L, spec.n_v, xi) * np.sqrt(wts)
+    M = spec.material.rho * spec.section.A_B * v @ v.T
+    return 0.5 * (M + M.T)
+
+
+def _ref_curvature_map(spec, xi):
+    basis = _RefBasis(spec)
+    m = spec.n_elastic
+    C = np.zeros((3, m))
+    i0, i1 = spec.n_theta, spec.n_theta + spec.n_v
+    C[0, :i0] = basis.theta(xi, 1)
+    C[1, i0:i1] = basis.v(xi, 2)
+    C[2, i1:] = basis.w(xi, 2)
+    return C
+
+
+def _ref_beam_data(spec):
+    """The model's per-link matrices, as _BeamData assembled them."""
+    basis = _RefBasis(spec)
+    xi, wts = beam.quadrature(spec)
+    rho = spec.material.rho
+    rhoA = rho * spec.section.A_B
+    m = spec.n_elastic
+    i0, i1 = spec.n_theta, spec.n_theta + spec.n_v
+    V = basis.v(xi, 0)
+    W = basis.w(xi, 0)
+    Vp = basis.v(xi, 1)
+    Wp = basis.w(xi, 1)
+    Th = basis.theta(xi, 0)
+    out = {}
+    rw = np.sqrt(wts)
+    P0 = np.zeros((3, m))
+    P0[1, i0:i1] = rhoA * (V @ wts)
+    P0[2, i1:] = rhoA * (W @ wts)
+    P1 = np.zeros((3, m))
+    P1[1, i0:i1] = rhoA * ((xi * V) @ wts)
+    P1[2, i1:] = rhoA * ((xi * W) @ wts)
+    PP = np.zeros((m, m))
+    PP[i0:i1, i0:i1] = rhoA * (V * rw) @ (V * rw).T
+    PP[i1:, i1:] = rhoA * (W * rw) @ (W * rw).T
+    out["P0"], out["P1"], out["PP"] = P0, P1, 0.5 * (PP + PP.T)
+    D = np.diag([rho * spec.section.I_D, rho * spec.section.I_y, rho * spec.section.I_z])
+    out["D"] = D
+    SPsi = np.zeros((3, m))
+    SPsi[0, :i0] = Th @ wts
+    SPsi[1, i1:] = -basis.w(spec.L, 0)
+    SPsi[2, i0:i1] = basis.v(spec.L, 0)
+    out["DSPsi"] = D @ SPsi
+    RPsi = np.zeros((m, m))
+    RPsi[:i0, :i0] = D[0, 0] * (Th * rw) @ (Th * rw).T
+    RPsi[i0:i1, i0:i1] = D[2, 2] * (Vp * rw) @ (Vp * rw).T
+    RPsi[i1:, i1:] = D[1, 1] * (Wp * rw) @ (Wp * rw).T
+    out["RPsi"] = 0.5 * (RPsi + RPsi.T)
+    PhiL = np.zeros((3, m))
+    PhiL[1, i0:i1] = basis.v(spec.L, 0)
+    PhiL[2, i1:] = basis.w(spec.L, 0)
+    PsiL = np.zeros((3, m))
+    PsiL[0, :i0] = basis.theta(spec.L, 0)
+    PsiL[1, i1:] = -basis.w(spec.L, 1)
+    PsiL[2, i0:i1] = basis.v(spec.L, 1)
+    out["PhiL"], out["PsiL"] = PhiL, PsiL
+    out["K"] = _ref_stiffness_matrix(spec, basis)
+    return out
+
+
+class TestLayoutDifferential:
+    """shape_rows/gram and the folded RitzBasis give the hand-written
+    layout's matrices bit for bit (tolerance 0, compared as bytes)."""
+
+    @pytest.fixture(params=[(1, 2, 2), (2, 4, 3), (1, 1, 1), (1, 10, 10)],
+                    ids=lambda c: "modes{}{}{}".format(*c))
+    def layout_spec(self, request, steel):
+        n_theta, n_v, n_w = request.param
+        return beam.BeamSpec(L=0.6, section=beam.section_properties(0.035, 0.003),
+                             material=steel, n_v=n_v, n_w=n_w, n_theta=n_theta)
+
+    @staticmethod
+    def assert_same_bytes(new, ref):
+        assert new.shape == ref.shape and new.dtype == ref.dtype
+        assert new.tobytes() == ref.tobytes()
+
+    def test_beam_data(self, layout_spec):
+        data = _BeamData(layout_spec, beam.shape_basis(layout_spec))
+        for name, ref in _ref_beam_data(layout_spec).items():
+            self.assert_same_bytes(getattr(data, name), ref)
+
+    def test_stiffness_and_bending_mass(self, layout_spec):
+        self.assert_same_bytes(beam.stiffness_matrix(layout_spec),
+                               _ref_stiffness_matrix(layout_spec, _RefBasis(layout_spec)))
+        self.assert_same_bytes(beam.bending_mass_matrix(layout_spec),
+                               _ref_bending_mass_matrix(layout_spec))
+
+    @pytest.mark.parametrize("xi", [0.0, 0.1, 0.37, 0.6])
+    def test_curvature_map(self, layout_spec, xi):
+        self.assert_same_bytes(beam.curvature_map(layout_spec, xi),
+                               _ref_curvature_map(layout_spec, xi))
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_mode_values(self, layout_spec, deriv):
+        basis, ref = beam.shape_basis(layout_spec), _RefBasis(layout_spec)
+        xi, _ = beam.quadrature(layout_spec)
+        for family in ("theta", "v", "w"):
+            for x in (0.0, xi, layout_spec.L):
+                self.assert_same_bytes(getattr(basis, family)(x, deriv),
+                                       getattr(ref, family)(x, deriv))

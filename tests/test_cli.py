@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,27 @@ class TestRainflowCommand:
         assert not (tmp_path / "rainflow_matrix.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["fatigue", "rainflow"])
+def test_overflow_error_line_only(runner, tmp_path, command):
+    # numpy's overflow warnings, with source paths, once came before the
+    # error line; raised as errors they would end the command with exit 1
+    values = [0.0, 1.7e308, -1.7e308, 1.7e308, 0.0]
+    data = tmp_path / "data.csv"
+    if command == "fatigue":
+        data.write_text("t,sigma_xx,sigma_xy\n" + "".join(
+            f"{k},{v},{v}\n" for k, v in enumerate(values)))
+        args = [str(data), str(Path(DEMO_CONFIG).parent / "fatigue_material.json")]
+    else:
+        data.write_text("t,sigma\n" + "".join(f"{k},{v}\n" for k, v in enumerate(values)))
+        args = [str(data)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, [command, *args, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+
+
 class TestParetoCommand:
     def test_front_extraction(self, runner, tmp_path):
         from tests.test_design import PARETO_POINTS
@@ -440,6 +462,14 @@ BAD_INPUTS = {
                             "robot.links[1].wall_thickness"),
     "grid-walls-too-thick": (_set("sweep.t2_values", [0.02]), "sweep.t2_values[0]"),
     "reference-too-thick": (_set("sweep.reference.1", 0.018), "sweep.reference[1]"),
+    # counts once loaded unbounded: 1e300 modes ended in an OverflowError
+    # traceback, 11 modes loaded a basis whose quadrature Gram drifts
+    "modes-11": (_set("robot.links.0.modes", [11, 2, 1]), "robot.links[0].modes"),
+    "modes-1e300": (_set("robot.links.1.modes", [2, 1e300, 1]), "robot.links[1].modes"),
+    # the fatigue counts are range checked with the rest of SweepSettings;
+    # 1e300 once failed only after every candidate had been simulated
+    "n-angles-1e300": (_set("fatigue.n_angles", 1e300), "fatigue"),
+    "n-mean-bins-1e300": (_set("fatigue.n_mean_bins", 1e300), "fatigue"),
 }
 
 

@@ -222,6 +222,16 @@ def sweep_settings(fast_sim):
     )
 
 
+@pytest.mark.parametrize("name, most", [
+    ("n_angles", 3601), ("n_mean_bins", 1000), ("n_amp_bins", 1000),
+])
+def test_settings_count_bounds(sweep_settings, name, most):
+    assert getattr(dataclasses.replace(sweep_settings, **{name: most}), name) == most
+    for bad in (0, most + 1):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(sweep_settings, **{name: bad})
+
+
 class TestRunSweep:
     def test_reference_only_grid(self, small_design, short_plan, sweep_settings):
         grid = dsg.CandidateGrid(t1_values=(4 * MM,), t2_values=(4 * MM,))
