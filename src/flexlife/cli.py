@@ -20,7 +20,7 @@ from . import fatigue as fat
 from . import rainflow as rfc
 from .config import ConfigError, load_config, parse_fatigue_material
 from .design import SweepOutcome, link_stress_histories, pareto_front as extract_front
-from .design import CandidateResult, run_sweep
+from .design import MAX_ANGLES, MAX_BINS, RUN_STATS, CandidateResult, run_sweep
 from .dynamics import SimulationError, simulate
 from .stress import read_stress_csv, write_stress_csv
 from .trajectory import plan_joint_move
@@ -122,9 +122,9 @@ def _report_dict(report: fat.DamageReport) -> dict:
 @click.argument("material_json", type=click.Path(exists=True))
 @click.option("--t-task", type=float, default=None, callback=_finite,
               help="Task duration in s (default: history span).")
-@click.option("--angles", type=click.IntRange(min=1), default=73, show_default=True)
-@click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
-@click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
+@click.option("--angles", type=click.IntRange(1, MAX_ANGLES), default=73, show_default=True)
+@click.option("--mean-bins", type=click.IntRange(1, MAX_BINS), default=32, show_default=True)
+@click.option("--amp-bins", type=click.IntRange(1, MAX_BINS), default=32, show_default=True)
 @click.option("--gate", type=click.FloatRange(min=0.0), default=0.0, show_default=True,
               callback=_finite, help="Hysteresis gate in Pa.")
 @click.option("--out-dir", type=click.Path(), default=".")
@@ -160,8 +160,8 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
 
 @main.command("rainflow")
 @click.argument("series_csv", type=click.Path(exists=True))
-@click.option("--mean-bins", type=click.IntRange(min=1), default=32, show_default=True)
-@click.option("--amp-bins", type=click.IntRange(min=1), default=32, show_default=True)
+@click.option("--mean-bins", type=click.IntRange(1, MAX_BINS), default=32, show_default=True)
+@click.option("--amp-bins", type=click.IntRange(1, MAX_BINS), default=32, show_default=True)
 @click.option("--gate", type=click.FloatRange(min=0.0), default=0.0, show_default=True,
               callback=_finite)
 @click.option("--out-dir", type=click.Path(), default=".")
@@ -257,6 +257,21 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
             ])
 
 
+def _write_sweep_stats(out: Path, outcome: SweepOutcome) -> None:
+    """sweep_stats.json: each candidate's solver counts, solve seconds and
+    error, and their totals. Its times vary from run to run, so it is no
+    part of the reproducible outputs."""
+    candidates = [
+        {"config": r.config, **{key: r.stats.get(key) for key in RUN_STATS}, "error": r.error}
+        for r in outcome.results
+    ]
+    totals = {key: sum(r.stats[key] for r in outcome.results if r.stats) for key in RUN_STATS}
+    totals["errors"] = len(outcome.failures)
+    with open(out / "sweep_stats.json", "w") as fh:
+        json.dump({"candidates": candidates, "totals": totals}, fh, indent=2)
+        fh.write("\n")
+
+
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out-dir", type=click.Path(), default=None)
@@ -281,6 +296,7 @@ def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
     except RuntimeError as exc:  # includes SimulationError
         _fail(EXIT_NUMERIC, str(exc))
     _write_sweep_outputs(out, outcome, plot_cap_hours)
+    _write_sweep_stats(out, outcome)
     for r in outcome.failures:
         click.echo(f"warning: candidate {r.config} failed: {r.error}", err=True)
     click.echo(

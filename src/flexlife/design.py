@@ -53,6 +53,11 @@ class CandidateGrid:
                 yield self.config_id(i, j), t1, t2
 
 
+# what a candidate's run record keeps of its simulate stats: the solver
+# counts and the solve's wall seconds
+RUN_STATS = ("nfev", "njev", "nlu", "steps", "solve_s")
+
+
 @dataclass
 class CandidateResult:
     """Criteria and lifetime of one evaluated candidate."""
@@ -65,6 +70,9 @@ class CandidateResult:
     d_max: float | None = None  # damage per task, None if fatigue stage skipped
     t_life_seconds: float | None = None  # inf for no-damage candidates
     error: str | None = None
+    # run record, kept out of the reproducible result files: RUN_STATS of
+    # the candidate's simulate (empty if it raised)
+    stats: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,13 @@ def pareto_front(results: list[CandidateResult]) -> ParetoFront:
     return ParetoFront(ids=tuple(sorted(front)))
 
 
+# upper bounds of the fatigue counts, so a huge count fails before any work
+# starts: cutting planes at most 0.05 degrees apart, a rainflow matrix of
+# <= 8 MB
+MAX_ANGLES = 3601
+MAX_BINS = 1000
+
+
 @dataclass(frozen=True)
 class SweepSettings:
     """Everything run_sweep needs besides the grid and the base design."""
@@ -147,9 +162,8 @@ class SweepSettings:
     def __post_init__(self):
         if self.hysteresis_gate < 0.0:
             raise ValueError(f"hysteresis_gate must be >= 0, got {self.hysteresis_gate}")
-        # bounded so a huge count fails before any candidate runs: cutting
-        # planes at most 0.05 degrees apart, a rainflow matrix of <= 8 MB
-        for name, most in (("n_angles", 3601), ("n_mean_bins", 1000), ("n_amp_bins", 1000)):
+        for name, most in (("n_angles", MAX_ANGLES), ("n_mean_bins", MAX_BINS),
+                           ("n_amp_bins", MAX_BINS)):
             count = getattr(self, name)
             if not 1 <= count <= most:
                 raise ValueError(f"{name} must lie in [1, {most}], got {count:g}")
@@ -214,11 +228,12 @@ def _evaluate_candidate(args):
     design = base.with_thicknesses(t1, t2)
     try:
         result = simulate(design, plan, settings.sim)
+        stats = {key: result.stats[key] for key in RUN_STATS}
         j_vib = vibration_criterion(result)
         histories = link_stress_histories(design, result)
-        return j_vib, histories, None
+        return j_vib, histories, None, stats
     except (SimulationError, ValueError) as exc:  # LinAlgError is a ValueError
-        return math.nan, None, f"{type(exc).__name__}: {exc}"
+        return math.nan, None, f"{type(exc).__name__}: {exc}", {}
 
 
 def run_sweep(
@@ -249,14 +264,15 @@ def run_sweep(
 
     results: list[CandidateResult] = []
     histories: dict[int, tuple[StressHistory, StressHistory]] = {}
-    for (config, t1, t2), (j_vib, hists, err) in zip(cells, raw):
+    for (config, t1, t2), (j_vib, hists, err, stats) in zip(cells, raw):
         design = base_design.with_thicknesses(t1, t2)
         try:
             j_mass = mass_criterion(design, reference)
         except ValueError as exc:
             j_mass = math.nan
             err = err or f"{type(exc).__name__}: {exc}"
-        res = CandidateResult(config=config, t1=t1, t2=t2, j_mass=j_mass, j_vib=j_vib, error=err)
+        res = CandidateResult(config=config, t1=t1, t2=t2, j_mass=j_mass, j_vib=j_vib, error=err,
+                              stats=stats)
         results.append(res)
         if hists is not None:
             histories[config] = hists

@@ -20,11 +20,11 @@ them. The gravity potential is of order 1 in the same angles and bilinear
 in the elastic coordinates of the two links, i.e. a sum over the monomials
 (1, q_e1) x (1, q_e2). Every model therefore samples both once on a 5x5
 grid of angles and keeps one table of 25 Fourier coefficients holding M
-and the gravity monomial weights side by side. One read of that table
-gives M, its analytic angle derivatives (the velocity forces) and the
-gravity forces, and one with the second derivatives the exact potential
-Hessian; the spring and damping forces are one constant linear map of
-(q, qd). The constructor checks the table against the assembly and the
+and the gravity monomial weights side by side, with their first angle
+derivatives folded in. One read of that table gives M, its analytic
+angle derivatives (the velocity forces) and the gravity forces, and one
+with the second derivatives the exact potential Hessian; the spring and
+damping forces are one constant linear map of (q, qd). The constructor checks the table against the assembly and the
 potential gradient at off-grid states and refuses a model whose mass
 matrix or gravity potential falls outside that form.
 
@@ -40,6 +40,7 @@ integrates loads it.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import math
 import time
@@ -60,11 +61,17 @@ _EX = np.array([1.0, 0.0, 0.0])
 # constructor checks the table at the off-grid (q2, q3) pairs below.
 _K = np.array([0.0, 1.0, 2.0, 1.0, 2.0])
 _PHASE = np.array([0.0, 0.0, 0.0, 0.5, 0.5]) * math.pi
-# the table is read as values, d/dq2, d/dq3, d2/dq2^2, d2/dq2dq3 and
-# d2/dq3^2: products of a q2 and a q3 row of these derivative orders
+# the potential Hessian reads the gravity weights as values, d/dq2, d/dq3,
+# d2/dq2^2, d2/dq2dq3 and d2/dq3^2: products of a q2 and a q3 row of these
+# derivative orders
 _ORDERS = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
 _READ_PHASE = _PHASE - 0.5 * math.pi * _ORDERS[..., None]
 _READ_SCALE = _K ** _ORDERS[..., None]
+_HALF_PI = 0.5 * math.pi  # the phase of the sines, exactly
+# d/dq of the basis is the basis times _DERIV: column j holds the derivative
+# of function j (d cos kq = -k sin kq, d sin kq = k cos kq)
+_DERIV = np.zeros((5, 5))
+_DERIV[[3, 4, 1, 2], [1, 2, 3, 4]] = (-1.0, -2.0, 1.0, 2.0)
 _GRID = 2.0 * math.pi * np.arange(5) / 5.0
 _CHECK_ANGLES = np.array([[0.3, 1.1], [-1.7, -0.4], [2.9, 5.6], [4.1, -2.6], [-5.3, 0.9]])
 _TABLE_RTOL = 1e-12
@@ -194,12 +201,27 @@ class GeneralizedState:
             raise ValueError("q and qd must be 1-d arrays of equal length")
 
 
-def _harmonics(q23, reads: int = 3) -> np.ndarray:
+def _harmonics(q23, reads: int) -> np.ndarray:
     """Products of the Fourier bases of q2 and q3 at the angle pairs q23
     (..., 2) for the first ``reads`` reads of the table; (..., reads, 25)."""
     U = _READ_SCALE[:reads] * np.cos(q23[..., None, :, None] * _K - _READ_PHASE[:reads])
     basis = U[..., 0, :, None] * U[..., 1, None, :]
     return basis.reshape(basis.shape[:-2] + (25,))
+
+
+def _harmonic_row(q2: float, q3: float) -> np.ndarray:
+    """The values read of :func:`_harmonics` at one angle pair, (25,), from
+    the same cosines and products in Python floats. k q - phase is written
+    out: 0 (cos 0 = 1), q, 2q, q - pi/2 and 2q - pi/2 are the floats that
+    q * k - phase gives."""
+    try:
+        u2 = (1.0, math.cos(q2), math.cos(q2 * 2.0), math.cos(q2 - _HALF_PI),
+              math.cos(q2 * 2.0 - _HALF_PI))
+        u3 = (1.0, math.cos(q3), math.cos(q3 * 2.0), math.cos(q3 - _HALF_PI),
+              math.cos(q3 * 2.0 - _HALF_PI))
+    except ValueError:  # an infinite angle: NaN, as np.cos gives, not an error
+        return _harmonics(np.array([q2, q3]), 1)[0]
+    return np.array([a * b for a in u2 for b in u3])
 
 
 def _roty(q: np.ndarray) -> np.ndarray:
@@ -291,8 +313,8 @@ class RobotModel:
         self.curv2 = curvature_map(spec2, design.links[1].xi_crit)
         # gravity weight on the link-1 tip path (hub, second beam, payload)
         self._m_tip = design.hub2_mass + self.beam2.mb + design.payload_mass
-        # spring and damping forces K q + D qd of the gears and beams as one
-        # map of x = (q, qd): x @ self._linear, with K and D symmetric
+        # spring and damping forces -(K q + D qd) of the gears and beams as
+        # one map of x = (q, qd): x @ self._linear, with K and D symmetric
         KD = np.zeros((2, self.n, self.n))
         for k, per_joint in enumerate((self.k_gear, self.d_gear)):
             gear = np.diag(per_joint)
@@ -301,7 +323,7 @@ class RobotModel:
                                (self.beam2, self.sl2, design.links[1])):
             KD[0, sl, sl] = beam.K
             KD[1, sl, sl] = link.damping_beta * beam.K
-        self._linear = KD.reshape(2 * self.n, self.n)
+        self._linear = -KD.reshape(2 * self.n, self.n)
         # M(q2, q3) = sum_jk A_jk u_j(q2) u_k(q3) and V_grav = sum_jk u_j(q2)
         # u_k(q3) e1^T C_jk e2 with e = (1, q_e) of each link: 5-point real
         # DFT of the samples along each angle
@@ -310,7 +332,17 @@ class RobotModel:
             (M_grid.reshape(5, 5, -1), self._gravity_monomials().reshape(5, 5, -1)), axis=-1
         )
         dft = np.linalg.inv(np.cos(np.multiply.outer(_GRID, _K) - _PHASE))
-        self._table = np.einsum("jp,kr,prc->jkc", dft, dft, samples).reshape(25, -1)
+        table = np.einsum("jp,kr,prc->jkc", dft, dft, samples)
+        # the d/dq2 and d/dq3 coefficients fold _DERIV into one angle's index
+        # (exact: each row of _DERIV has one entry, +-1 or +-2). The columns
+        # [M | dM/dq2 | dM/dq3 | C | dC/dq2 | dC/dq3] then come from one read
+        # of the 25 value harmonics.
+        folded = np.stack((table, np.einsum("pj,jkc->pkc", _DERIV, table),
+                           np.einsum("rk,jkc->jrc", _DERIV, table)), axis=2).reshape(25, 3, -1)
+        n2 = self.n**2
+        self._table = np.concatenate(
+            (folded[..., :n2].reshape(25, -1), folded[..., n2:].reshape(25, -1)), axis=1
+        )
         # off-grid check states: the check angles, twisted gears and small
         # non-zero elastic coordinates
         Q = np.zeros((len(_CHECK_ANGLES), self.n))
@@ -398,10 +430,21 @@ class RobotModel:
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
         return self.mass_gradients(q)[0]
 
+    def _read(self, q23: np.ndarray) -> np.ndarray:
+        """The table's columns [M | dM/dq2 | dM/dq3 | C | dC/dq2 | dC/dq3] at
+        the angle pairs q23 (..., 2).
+
+        A batch reads each state as its own (1, 25) @ table product, which
+        gives the bits of one state's np.dot (a (k, 25) product would not).
+        """
+        if q23.ndim == 1:
+            return np.dot(_harmonic_row(*q23.tolist()), self._table)
+        return (_harmonics(q23, 1) @ self._table)[..., 0, :]
+
     def mass_gradients(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M, dM/dq2, dM/dq3) from the Fourier table; q may be a batch (..., n)."""
-        rows = (_harmonics(np.asarray(q, dtype=float)[..., 4:6]) @ self._table)[..., : self.n**2]
-        out = rows.reshape(rows.shape[:-1] + (self.n, self.n))
+        rows = self._read(np.asarray(q, dtype=float)[..., 4:6])[..., : 3 * self.n**2]
+        out = rows.reshape(rows.shape[:-1] + (3, self.n, self.n))
         return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
 
     def mass_and_forces(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,16 +455,23 @@ class RobotModel:
 
         One read of the harmonic table gives M, dM/dq2, dM/dq3 and the
         gravity monomial weights C, dC/dq2, dC/dq3; V_grav = e1^T C e2 over
-        e = (1, q_e) of each link. M is (..., n, n) and f (..., n).
+        e = (1, q_e) of each link. M is (..., n, n) and f (..., n). One
+        state (2n,), which is every f call of the solver, takes a lean path
+        with the arithmetic of one row of a batch. The two must agree bit
+        for bit: the solver's Jacobian is a batch, and on a very stiff
+        design a one-ulp difference between them made VODE take 28 times
+        the steps.
         """
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self._one_mass_and_forces(x)
         n, n2 = self.n, self.n**2
         q, qd = x[..., :n], x[..., n:]
-        rows = _harmonics(q[..., 4:6]) @ self._table  # values, d/dq2, d/dq3 of each column
-        lead = rows.shape[:-2]
-        M = rows[..., 0, :n2].reshape(lead + (n, n))
-        dM = rows[..., 1:, :n2].reshape(lead + (2, n, n))
-        C = rows[..., n2:].reshape(lead + (3, 1 + self.m1, 1 + self.m2))
+        rows = self._read(q[..., 4:6])
+        lead = rows.shape[:-1]
+        M = rows[..., :n2].reshape(lead + (n, n))
+        dM = rows[..., n2 : 3 * n2].reshape(lead + (2 * n, n))  # d/dq2 rows, then d/dq3
+        C = rows[..., 3 * n2 :].reshape(lead + (3, 1 + self.m1, 1 + self.m2))
         # gravity: dV/dq2 and dV/dq3 are e1^T (dC/dq) e2; dV/dq_e1 and dV/dq_e2
         # are the q_e entries of C e2 and e1^T C
         one = np.ones(lead + (1,))
@@ -430,11 +480,36 @@ class RobotModel:
         Ce2 = (C @ e2[..., None, :, None])[..., 0]
         g23 = (Ce2[..., 1:, :] @ e1[..., :, None])[..., 0]
         # h = qd2 (dM/dq2) qd + qd3 (dM/dq3) qd, less 1/2 qd^T (dM/dq) qd on q2, q3
-        Mqd = (dM @ qd[..., None, :, None])[..., 0]
-        f = -(x @ self._linear) - (qd[..., None, 4:6] @ Mqd)[..., 0, :]
+        Mqd = (dM @ qd[..., :, None]).reshape(lead + (2, n))
+        # one (1, 2n) product per state, the bits of one state's x @ _linear
+        f = (x[..., None, :] @ self._linear)[..., 0, :] - (qd[..., None, 4:6] @ Mqd)[..., 0, :]
         f[..., 4:6] += 0.5 * (Mqd @ qd[..., :, None])[..., 0] - g23
         f[..., self.sl1] -= Ce2[..., 0, 1:]
         f[..., self.sl2] -= (e1[..., None, :] @ C[..., 0, :, 1:])[..., 0, :]
+        return M, f
+
+    def _one_mass_and_forces(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """mass_and_forces of one state x (2n,): the batch's operations on
+        1-d operands, with the two angle rows of f in Python floats."""
+        n, n2, m1 = self.n, self.n**2, self.m1
+        qd = x[n:]
+        rows = self._read(x[4:6])
+        M = rows[:n2].reshape(n, n)
+        Mqd = (rows[n2 : 3 * n2].reshape(2 * n, n) @ qd).reshape(2, n)
+        C = rows[3 * n2 :].reshape(3, 1 + m1, 1 + self.m2)
+        # e = (1, q_e) of each link: the slice of x that ends with q_e, its
+        # first entry set to 1
+        e1 = x[5 : 6 + m1].copy()
+        e2 = x[5 + m1 : n].copy()
+        e1[0] = e2[0] = 1.0
+        Ce2 = C @ e2
+        g4, g5 = (Ce2[1:] @ e1).tolist()
+        h4, h5 = (Mqd @ qd).tolist()
+        f = x @ self._linear - qd[4:6] @ Mqd
+        f[4] += 0.5 * h4 - g4
+        f[5] += 0.5 * h5 - g5
+        f[self.sl1] -= Ce2[0, 1:]
+        f[self.sl2] -= e1 @ C[0, :, 1:]
         return M, f
 
     # ----- potential energy and its gradient ---------------------------
@@ -533,7 +608,8 @@ class RobotModel:
         links), assembled as G + G^T so that it is exactly symmetric."""
         q = np.asarray(q, dtype=float)
         n = self.n
-        rows = _harmonics(q[4:6], len(_ORDERS)) @ self._table[:, n**2:]
+        c = (1 + self.m1) * (1 + self.m2)
+        rows = _harmonics(q[4:6], len(_ORDERS)) @ self._table[:, 3 * n**2 : 3 * n**2 + c]
         C = rows.reshape(-1, 1 + self.m1, 1 + self.m2)
         e1 = np.concatenate(([1.0], q[self.sl1]))
         e2 = np.concatenate(([1.0], q[self.sl2]))
@@ -544,7 +620,7 @@ class RobotModel:
         G[4:6, self.sl1] = Ce2[:2, 1:]
         G[4:6, self.sl2] = (e1 @ C[1:3])[:, 1:]
         G[self.sl1, self.sl2] = C[0, 1:, 1:]
-        return self._linear[:n] + (G + G.T)
+        return (G + G.T) - self._linear[:n]
 
     # ----- kinematics of the end effector ------------------------------
 
@@ -751,28 +827,37 @@ def _feedforward_table(
     return ts, tau
 
 
-def _interpolator(ts: np.ndarray, values: np.ndarray):
-    """Lookup t -> row of values (T, k), linear between the increasing knots
-    ts and held at the first and last rows outside them.
+def _row_lookup(ts: np.ndarray, values: np.ndarray):
+    """Lookup t -> row of values (T, k) as a list of Python floats, linear
+    between the increasing knots ts and held at the first and last rows
+    outside them.
 
     It takes np.interp's branches (a knot returns its row) and arithmetic,
     slope * (t - t_j) + v_j with the slope (v_j+1 - v_j) / (t_j+1 - t_j),
-    on all k columns of one row at once, so it gives the bits of np.interp
-    run column by column.
+    so it gives the bits of np.interp run column by column.
     """
     knots = ts.tolist()
     last = len(knots) - 1
-    slopes = np.diff(values, axis=0) / np.diff(ts)[:, None]
+    rows = values.tolist()
+    slopes = (np.diff(values, axis=0) / np.diff(ts)[:, None]).tolist()
 
-    def at(t: float) -> np.ndarray:
+    def at(t: float) -> list[float]:
         j = bisect.bisect_right(knots, t) - 1
         if j < 0:
-            return values[0]
+            return rows[0]
         if j == last or t == knots[j]:
-            return values[j]
-        return slopes[j] * (t - knots[j]) + values[j]
+            return rows[j]
+        dt = t - knots[j]
+        return [s * dt + v for s, v in zip(slopes[j], rows[j])]
 
     return at
+
+
+def _interpolator(ts: np.ndarray, values: np.ndarray):
+    """:func:`_row_lookup` with each row as an array, the form np.interp
+    returns."""
+    at = _row_lookup(ts, values)
+    return lambda t: np.array(at(t))
 
 
 def _mass_solver():
@@ -843,6 +928,8 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
 
     Returns the ``ode`` object, for its status and counters, and
     ``integrate(t)``, which returns y(t) or raises what a callback raised.
+    It ignores the wrapper's warning of a failed call, unless quiet=False
+    tells it that the caller does so around all of its stops.
 
     - VODE ignores the last diagonal entry of the Jacobian, so a stiff last
       component does not converge. The state carries one extra trailing
@@ -862,9 +949,9 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
 
     def extended(callback, shape):
         real = (slice(n),) * len(shape)
+        out = np.zeros(shape)  # VODE copies what a callback returns
 
         def call(t, y):
-            out = np.zeros(shape)
             if not failure:
                 try:
                     out[real] = callback(t, y[:n])
@@ -880,16 +967,26 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
     r.set_integrator("vode", method="bdf", rtol=rtol * scale, atol=atol * scale, nsteps=nsteps)
     r.set_initial_value(np.append(y0, 0.0), t0)
 
-    def integrate(t: float) -> np.ndarray:
-        with warnings.catch_warnings():
-            # the wrapper warns of a failed call; r.successful() tells
-            warnings.filterwarnings("ignore", "vode: ", UserWarning)
+    def integrate(t: float, quiet: bool = True) -> np.ndarray:
+        if quiet:
+            with _vode_warnings_ignored():
+                y = r.integrate(t)
+        else:
             y = r.integrate(t)
         if failure:
             raise failure[0]
         return y[:n]
 
     return r, integrate
+
+
+@contextlib.contextmanager
+def _vode_warnings_ignored():
+    """Ignore the wrapper's warning of a failed VODE call; r.successful()
+    tells."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "vode: ", UserWarning)
+        yield
 
 
 # stiff, non-symmetric linear system of the layout probe; from y(0) = (1, 1)
@@ -954,13 +1051,14 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6, vectorized=Tru
     stops = np.union1d(t_eval, np.arange(t0, t_eval[-1], _STEP_WINDOW))
     ys = np.empty((y0.size, t_eval.size))
     done = 0
-    for t in stops:
-        y = y0 if t == t0 else integrate(t)
-        if not r.successful():
-            break
-        if t == t_eval[done]:
-            ys[:, done] = y
-            done += 1
+    with _vode_warnings_ignored():
+        for t in stops:
+            y = y0 if t == t0 else integrate(t, quiet=False)
+            if not r.successful():
+                break
+            if t == t_eval[done]:
+                ys[:, done] = y
+                done += 1
     success = done == t_eval.size
     iwork = r._integrator.iwork
     return OdeResult(
@@ -1008,7 +1106,7 @@ def simulate(
     y0 = np.zeros(2 * n + n_int)
     y0[:n] = q0
 
-    feedforward = None
+    feedforward = None  # t -> the feedforward torques as Python floats
     if controlled:
         gains = settings.gains
         # preload the velocity integrator with the gravity-holding torque so
@@ -1017,17 +1115,42 @@ def simulate(
         hold = model.k_gear * (q0[:3] - q0[3:6])
         if gains.feedforward:
             ts_ff, tau_ff = _feedforward_table(model, plan, t_end, 2e-3)
-            feedforward = _interpolator(ts_ff, tau_ff)
+            feedforward = _row_lookup(ts_ff, tau_ff)
             hold = hold - tau_ff[0]
         x0 = np.zeros(3)
         mask = ki > 0.0
         x0[mask] = hold[mask] / ki[mask]
         y0[2 * n :] = x0
+        # per joint (kp_pos, kp_vel, ki_vel, torque limit) as Python floats
+        law = list(zip(*(a.tolist() for a in (*gains.arrays, model.tau_limit))))
+
+        def drive(t: float, y: list[float], force: np.ndarray) -> list[float]:
+            """Add the drive torques of one state y at t to force and return
+            the integrator rates e_v: controller's law in Python floats, the
+            same IEEE operations on the same inputs, so the same bits."""
+            q_des, qd_des, _ = plan.sample_floats(t)
+            tau_ff = None if feedforward is None else feedforward(t)
+            e_v = []
+            for j, (kp, kv, ki_j, limit) in enumerate(law):
+                e = qd_des[j] + kp * (q_des[j] - y[j]) - y[n + j]
+                tau = kv * e + ki_j * y[2 * n + j]
+                if tau_ff is not None:
+                    tau = tau + tau_ff[j]
+                force[j] += min(max(tau, -limit), limit)
+                e_v.append(e)
+            return e_v
 
     solve_mass = _mass_solver()
 
     def rhs(t, y):
-        # y is one state (N,) or, for the solver's Jacobian, a batch (N, k);
+        # y is one state (N,), every f call of the solver, or a batch (N, k)
+        # for its Jacobian
+        if y.ndim == 1:
+            M, force = model.mass_and_forces(y[: 2 * n])
+            if not controlled:
+                return np.concatenate((y[n:], solve_mass(t, M, force)))
+            e_v = drive(t, y.tolist(), force)
+            return np.concatenate((y[n : 2 * n], solve_mass(t, M, force), e_v))
         # Y holds one state per row
         Y = y.T
         M, force = model.mass_and_forces(Y[..., : 2 * n])
@@ -1037,7 +1160,7 @@ def simulate(
             q_des, qd_des, _ = plan.sample(t)
             tau, e_v = controller(
                 settings.gains, Y[..., :3], qd[..., :3], q_des, qd_des, Y[..., 2 * n :],
-                None if feedforward is None else feedforward(t), model.tau_limit,
+                None if feedforward is None else np.array(feedforward(t)), model.tau_limit,
             )
             force[..., :3] += tau
             out[..., 2 * n :] = e_v

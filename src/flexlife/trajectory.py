@@ -142,19 +142,22 @@ class TrajectoryPlan:
     def q_place(self) -> np.ndarray:
         return np.array([p.q1 for p in self._profiles])
 
+    def sample_floats(self, t: float) -> tuple[list[float], list[float], list[float]]:
+        """Desired (q_d, qd_d, qdd_d) at time t, clamped to [0, t_task], as
+        lists of Python floats, one per joint."""
+        q, qd, qdd = [], [], []
+        tc = min(max(float(t), 0.0), self.t_task)
+        for p, s in zip(self._profiles, self._scale):
+            qi, vi, ai = p.sample(tc * s)
+            q.append(qi)
+            qd.append(vi * s)
+            qdd.append(ai * s * s)
+        return q, qd, qdd
+
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Desired (q_d, qd_d, qdd_d) at time t, clamped to [0, t_task]."""
-        n = self.n_joints
-        q = np.empty(n)
-        qd = np.empty(n)
-        qdd = np.empty(n)
-        tc = min(max(float(t), 0.0), self.t_task)
-        for i, (p, s) in enumerate(zip(self._profiles, self._scale)):
-            qi, vi, ai = p.sample(tc * s)
-            q[i] = qi
-            qd[i] = vi * s
-            qdd[i] = ai * s * s
-        return q, qd, qdd
+        q, qd, qdd = self.sample_floats(t)
+        return np.array(q, dtype=float), np.array(qd, dtype=float), np.array(qdd, dtype=float)
 
     def sample_grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`sample` over a time grid; arrays (len(ts), n)."""

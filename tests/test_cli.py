@@ -96,6 +96,12 @@ OUT_OF_RANGE_OPTIONS = [
     ("sweep", "--plot-cap-hours", "nan"),
     ("sweep", "--plot-cap-hours", "inf"),
     ("fatigue", "--t-task", "nan"),
+    # one above the bounds SweepSettings puts on the config's counts
+    ("fatigue", "--angles", "3602"),
+    ("fatigue", "--mean-bins", "1001"),
+    ("fatigue", "--amp-bins", "1001"),
+    ("rainflow", "--mean-bins", "1001"),
+    ("rainflow", "--amp-bins", "1001"),
 ]
 
 
@@ -105,10 +111,10 @@ OUT_OF_RANGE_OPTIONS = [
     ids=[f"{c}-{o}" + ("" if v == "0" else v) for c, o, v in OUT_OF_RANGE_OPTIONS],
 )
 def test_count_option_below_one_exit_2(runner, tmp_path, command, option, value):
-    """Counts below one, a negative gate, --jobs below one, a cap that is
-    not positive and a gate, cap or task time that is not finite exit 2
-    with click's usage message, as the same values do in the config
-    file."""
+    """Counts below one or above their bound, a negative gate, --jobs
+    below one, a cap that is not positive and a gate, cap or task time
+    that is not finite exit 2 with click's usage message, as the same
+    values do in the config file."""
     if command == "fatigue":
         data = tmp_path / "stress.csv"
         data.write_text("t,sigma_xx,sigma_xy\n0.0,1e7,0.0\n0.1,-1e7,0.0\n")
@@ -402,6 +408,34 @@ class TestSweepCommand:
         assert set(payload["front"]) <= {1, 2}
         points = (out / "pareto_points.csv").read_text().strip().splitlines()
         assert len(points) == 3
+
+    def test_sweep_stats_lists_every_candidate(self, runner, tmp_path, monkeypatch):
+        from flexlife import design
+        from flexlife.dynamics import SimulationError
+
+        simulate = design.simulate
+
+        def failing_thick_wall(d, plan, sim):
+            if d.links[0].wall_thickness > 0.003:
+                raise SimulationError("integration failed at t=0.125000", 0.125)
+            return simulate(d, plan, sim)
+
+        monkeypatch.setattr(design, "simulate", failing_thick_wall)
+        cfg = fast_config(tmp_path, **{"sweep.t1_values": [0.001, 0.002, 0.004]})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        stats = json.loads((out / "sweep_stats.json").read_text())
+        keys = ["nfev", "njev", "nlu", "steps", "solve_s"]
+        assert [c["config"] for c in stats["candidates"]] == [1, 2, 3]
+        ran, failed = stats["candidates"][:2], stats["candidates"][2]
+        for c in ran:
+            assert c["error"] is None
+            assert c["nfev"] >= c["steps"] > 0 and c["nlu"] >= c["njev"] > 0
+            assert c["solve_s"] > 0.0
+        assert failed["error"].startswith("SimulationError: integration failed")
+        assert all(failed[key] is None for key in keys)
+        assert stats["totals"] == {**{key: sum(c[key] for c in ran) for key in keys}, "errors": 1}
 
     def test_empty_grid_is_config_error(self, runner, tmp_path):
         cfg = fast_config(tmp_path, **{"sweep.t1_values": []})

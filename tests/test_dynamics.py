@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -713,6 +714,42 @@ class TestMassAndForces:
             np.testing.assert_array_equal(M_k, M_ref[k])
             np.testing.assert_allclose(f_k, f_ref[k], rtol=0.0, atol=tol)
 
+    @pytest.mark.parametrize("modes", ["small", "demo"])
+    def test_one_state_path_gives_batch_bits(self, small_design, modes):
+        # the solver's f calls take the one-state path, its Jacobians the
+        # batch: tolerance 0, so both see one force law
+        design = small_design if modes == "small" else demo_modes(small_design)
+        model = dyn.RobotModel(design)
+        rng = np.random.default_rng(42)
+        X = rng.normal(0.0, 1.0, (100, 2 * model.n))
+        X[:, 4:6] = rng.uniform(-40.0, 40.0, (100, 2))  # well past one turn
+        X[:, 6 : model.n] *= 1e-2
+        M, f = model.mass_and_forces(X)
+        for k, x in enumerate(X):
+            M_k, f_k = model.mass_and_forces(x)
+            assert M_k.tobytes() == M[k].tobytes() and f_k.tobytes() == f[k].tobytes(), k
+
+    def test_infinite_angle_reads_nan_like_the_batch(self, model):
+        # math.cos raises where np.cos gives NaN: one state reads NaN too, so
+        # a diverging run ends in VODE's failure, not in an error from f
+        x = np.zeros(2 * model.n)
+        x[4] = np.inf
+        with np.errstate(invalid="ignore"):
+            M, f = model.mass_and_forces(x)
+            M_b, f_b = model.mass_and_forces(x[None])
+        assert np.isnan(M).all()
+        np.testing.assert_array_equal(M, M_b[0])
+        np.testing.assert_array_equal(f, f_b[0])
+
+    def test_harmonic_row_gives_harmonics_bits(self):
+        # one state's math.cos harmonics against the batch's np.cos ones
+        rng = np.random.default_rng(43)
+        Q = np.concatenate((rng.uniform(-50.0, 50.0, (5000, 2)), rng.normal(0.0, 1e-3, (50, 2)),
+                            [[0.0, -0.0], [-0.0, 1e-300], [np.pi, -np.pi / 2]]))
+        H = dyn._harmonics(Q, 1)[:, 0]
+        for q, h in zip(Q, H):
+            assert dyn._harmonic_row(*q.tolist()).tobytes() == h.tobytes(), q
+
     def test_gravity_table_rejects_quadratic_elastic_term(self, small_design, monkeypatch):
         # an extra gravity energy 1e-6 q_e1[0]^2, with its exact gradient in
         # the oracle: the table is bilinear in (q_e1, q_e2) and cannot hold it
@@ -804,6 +841,17 @@ class TestVodeDriver:
             results.append(r.successful() and np.abs(y - dyn._PROBE_Y1).max() < 1e-6)
         assert results == [True, False]
 
+    def test_no_vode_warning_escapes(self, small_design, short_plan, fast_sim):
+        # scipy's wrapper warns of each failed VODE call: the probe's wrong
+        # layout, the stalled solve and any failed stop of simulate; failure
+        # is told by return values and exceptions only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dyn._jacobian_transposed.__wrapped__() == dyn._jacobian_transposed()
+            sol = dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0], rtol=1e-6, atol=1e-9)
+            assert not sol.success
+            dyn.simulate(small_design, short_plan, fast_sim)
+
     def test_layout_probe_raises_when_no_layout_converges(self, monkeypatch):
         monkeypatch.setattr(dyn, "_PROBE_Y1", dyn._PROBE_Y1 + 1.0)
         with pytest.raises(RuntimeError, match="neither Jacobian layout"):
@@ -874,6 +922,22 @@ class TestVodeDriver:
         np.testing.assert_allclose(fine.times[idx], coarse.times, rtol=1e-15)
         np.testing.assert_array_equal(fine.q[idx], coarse.q)
         np.testing.assert_array_equal(fine.dr_ee[idx], coarse.dr_ee)
+
+    def test_rigid_limit_takes_few_steps(self, small_design, short_plan, fast_sim):
+        # E and gear stiffness scaled by 1e6. The f calls and the Jacobian's
+        # batch must share one force law bit for bit: with a one-ulp
+        # disagreement (the batch's x @ _linear as one (k, 2n) product) VODE
+        # took 115,377 steps and 1,935 Jacobians, against 4,109 and 73
+        stiff_drives = tuple(
+            dataclasses.replace(d, stiffness=d.stiffness * 1e6, damping=d.damping * 1e3)
+            for d in small_design.drives
+        )
+        design = dataclasses.replace(
+            small_design, material=dataclasses.replace(small_design.material, E=2.1e17),
+            drives=stiff_drives,
+        )
+        result = dyn.simulate(design, short_plan, fast_sim)
+        assert result.stats["steps"] < 20_000
 
     def test_step_limit_raises_simulation_error(self, small_design, short_plan, fast_sim,
                                                 monkeypatch):
@@ -1040,6 +1104,42 @@ class TestRhsFastPaths:
             assert lookup(t).tobytes() == want.tobytes(), t
         # a -0.0 read at its knot keeps its sign, as np.interp's does
         assert np.signbit(dyn._interpolator(np.array([0.0, 1.0]), np.array([[-0.0], [1.0]]))(0.0))
+
+    @pytest.mark.parametrize("feedforward", [True, False])
+    def test_one_state_rhs_gives_numpy_control_bits(self, small_design, short_plan, fast_sim,
+                                                    feedforward, monkeypatch):
+        # one state's RHS runs the control law in Python floats; the batch's
+        # numpy calls on plan.sample, the np.interp lookup and controller
+        # must give the same bits, saturated torques included
+        gains = dataclasses.replace(fast_sim.gains, feedforward=feedforward)
+        settings = dataclasses.replace(fast_sim, gains=gains)
+        rhs, y0 = captured_rhs(small_design, short_plan, settings, monkeypatch)
+        model = dyn.RobotModel(small_design)
+        n = model.n
+        t_end = short_plan.t_task + fast_sim.t_settle
+        ts, tau_ff = dyn._feedforward_table(model, short_plan, t_end, 2e-3)
+        lookup = dyn._interpolator(ts, tau_ff) if feedforward else lambda t: None
+        solve = dyn._mass_solver()
+        # the plan's segment ends of the first joint, in task time
+        profile, scale = short_plan._profiles[0], short_plan._scale[0]
+        knots = [k / scale for k in profile._knots]
+        times = [-1.0, -1e-300, 0.0, *knots, *ts[:3].tolist(), *ts[-2:].tolist(),
+                 short_plan.t_task, short_plan.t_task + 1e-3, ts[-1] + 0.01, 1e3]
+        rng = np.random.default_rng(54)
+        Y = y0 + rng.normal(0.0, 1e-3, (8, y0.size))
+        Y[4:, n : n + 3] += rng.choice([-5.0, 5.0], (4, 3))  # drive into saturation
+        saturated = []
+        for t in times:
+            for y in Y:
+                M, f = model.mass_and_forces(y[: 2 * n])
+                q_des, qd_des, _ = short_plan.sample(t)
+                tau, e_v = dyn.controller(gains, y[:3], y[n : n + 3], q_des, qd_des,
+                                          y[2 * n :], lookup(t), model.tau_limit)
+                saturated.append(np.abs(tau) == model.tau_limit)
+                f[:3] += tau
+                want = np.concatenate((y[n : 2 * n], solve(t, M, f), e_v))
+                assert rhs(t, y).tobytes() == want.tobytes(), t
+        assert np.any(saturated) and not np.all(saturated)
 
     def test_controller_gives_clip_law_bits(self, demo_gains):
         rng = np.random.default_rng(53)
