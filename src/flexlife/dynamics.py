@@ -853,25 +853,18 @@ def _row_lookup(ts: np.ndarray, values: np.ndarray):
     return at
 
 
-def _interpolator(ts: np.ndarray, values: np.ndarray):
-    """:func:`_row_lookup` with each row as an array, the form np.interp
-    returns."""
-    at = _row_lookup(ts, values)
-    return lambda t: np.array(at(t))
-
-
 def _mass_solver():
     """solve(t, M, f): the accelerations M^-1 f of one state, M (n, n) and
     f (n,), or of a batch, M (..., n, n) and f (..., n). SimulationError
     with t_failure = t if M is not positive definite.
 
     A single state, which is every f call of the solver, goes straight to
-    LAPACK, bound here once: a Cholesky factorisation (dpotrf) as the
-    guard, then the LU solve (dgesv) that np.linalg.solve runs, which gives
-    its bits. dposv would factorise once, but its solutions differ in the
-    last bits, and VODE's step control turns such roundoff into solver
-    counts up to a fifth apart. The Jacobian's batches keep numpy's batched
-    calls.
+    scipy's LAPACK, bound here once: a Cholesky factorisation (dpotrf) as
+    the guard, then an LU solve (dgesv). The Jacobian's batches keep
+    numpy's batched calls. The two agree to 1e-13, not bit for bit: they
+    gave the same bits on the demo states sampled but not on many random
+    SPD systems, so this solve is where f and the Jacobian can still part
+    under another build of the wheels.
     """
     from scipy.linalg.lapack import dgesv, dpotrf
 
@@ -928,8 +921,8 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
 
     Returns the ``ode`` object, for its status and counters, and
     ``integrate(t)``, which returns y(t) or raises what a callback raised.
-    It ignores the wrapper's warning of a failed call, unless quiet=False
-    tells it that the caller does so around all of its stops.
+    The wrapper warns of a failed call; callers ignore that warning with
+    ``_vode_warnings_ignored`` and read r.successful().
 
     - VODE ignores the last diagonal entry of the Jacobian, so a stiff last
       component does not converge. The state carries one extra trailing
@@ -967,12 +960,8 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
     r.set_integrator("vode", method="bdf", rtol=rtol * scale, atol=atol * scale, nsteps=nsteps)
     r.set_initial_value(np.append(y0, 0.0), t0)
 
-    def integrate(t: float, quiet: bool = True) -> np.ndarray:
-        if quiet:
-            with _vode_warnings_ignored():
-                y = r.integrate(t)
-        else:
-            y = r.integrate(t)
+    def integrate(t: float) -> np.ndarray:
+        y = r.integrate(t)
         if failure:
             raise failure[0]
         return y[:n]
@@ -1009,22 +998,21 @@ def _jacobian_transposed() -> bool:
         J = _PROBE_A.T if transposed else _PROBE_A
         r, integrate = _vode(lambda t, y: _PROBE_A @ y, lambda t, y: J, np.ones(2), 0.0,
                              1e-8, 1e-10, 500)
-        y = integrate(1.0)
+        with _vode_warnings_ignored():
+            y = integrate(1.0)
         if r.successful() and np.abs(y - _PROBE_Y1).max() < 1e-6:
             return transposed
     raise RuntimeError("scipy's VODE BDF solves the probe system with neither Jacobian layout")
 
 
-def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6, vectorized=True) -> OdeResult:
+def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span with scipy's compiled VODE BDF
     (Brown, Byrne & Hindmarsh 1989) and return the states at t_eval
     (default: the end of the span).
 
-    Takes the arguments of ``scipy.integrate.solve_ivp`` that simulate
-    uses. ``vectorized`` is there for that call shape only: fun is always
-    given batches of states (N, k) as well as single states (N,), as scipy
-    does with vectorized=True. Each Jacobian is a forward difference from one
-    call of fun on the base state and all its perturbations, so fun runs
+    fun takes one state (N,) or states as rows (k, N) and returns its rates
+    in the same layout. Each Jacobian is a forward difference from one call
+    of fun on the base state and all its perturbations, so fun runs
     nfev + njev times. An exception raised in fun is re-raised as it is.
     A solver failure, including more than ``_MAX_STEPS`` steps in one
     ``_STEP_WINDOW`` of simulated time, returns success=False with VODE's
@@ -1036,13 +1024,14 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6, vectorized=Tru
     t_eval = np.array([t1]) if t_eval is None else np.asarray(t_eval, dtype=float)
 
     def jac(t, y):
-        # column 0 is the base state, column j + 1 perturbs component j
+        # row 0 is the base state, row j + 1 perturbs component j; row j of
+        # the differences is column j of the Jacobian
         h = (y + _FD_STEP * np.maximum(np.abs(y), 1.0)) - y
-        Y = np.repeat(y[:, None], y.size + 1, axis=1)
-        Y[:, 1:] += np.diag(h)
+        Y = np.repeat(y[None], y.size + 1, axis=0)
+        Y[1:] += np.diag(h)
         F = fun(t, Y)
-        J = (F[:, 1:] - F[:, :1]) / h
-        return J.T if transposed else J
+        JT = (F[1:] - F[:1]) / h[:, None]
+        return JT if transposed else JT.T
 
     r, integrate = _vode(fun, jac, y0, t0, rtol, atol, _MAX_STEPS)
     # VODE's step limit holds per call. It steps past each stop and
@@ -1053,7 +1042,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6, vectorized=Tru
     done = 0
     with _vode_warnings_ignored():
         for t in stops:
-            y = y0 if t == t0 else integrate(t, quiet=False)
+            y = y0 if t == t0 else integrate(t)
             if not r.successful():
                 break
             if t == t_eval[done]:
@@ -1143,38 +1132,33 @@ def simulate(
     solve_mass = _mass_solver()
 
     def rhs(t, y):
-        # y is one state (N,), every f call of the solver, or a batch (N, k)
-        # for its Jacobian
+        # y is one state (N,), every f call of the solver, or states as rows
+        # (k, N) for its Jacobian
         if y.ndim == 1:
             M, force = model.mass_and_forces(y[: 2 * n])
             if not controlled:
                 return np.concatenate((y[n:], solve_mass(t, M, force)))
             e_v = drive(t, y.tolist(), force)
             return np.concatenate((y[n : 2 * n], solve_mass(t, M, force), e_v))
-        # Y holds one state per row
-        Y = y.T
-        M, force = model.mass_and_forces(Y[..., : 2 * n])
-        qd = Y[..., n : 2 * n]
-        out = np.empty_like(Y)
+        M, force = model.mass_and_forces(y[:, : 2 * n])
+        out = np.empty_like(y)
         if controlled:
             q_des, qd_des, _ = plan.sample(t)
             tau, e_v = controller(
-                settings.gains, Y[..., :3], qd[..., :3], q_des, qd_des, Y[..., 2 * n :],
+                settings.gains, y[:, :3], y[:, n : n + 3], q_des, qd_des, y[:, 2 * n :],
                 None if feedforward is None else np.array(feedforward(t)), model.tau_limit,
             )
-            force[..., :3] += tau
-            out[..., 2 * n :] = e_v
-        out[..., :n] = qd
-        out[..., n : 2 * n] = solve_mass(t, M, force)
-        return out.T
+            force[:, :3] += tau
+            out[:, 2 * n :] = e_v
+        out[:, :n] = y[:, n : 2 * n]
+        out[:, n : 2 * n] = solve_mass(t, M, force)
+        return out
 
     dt = 1.0 / settings.sample_rate
     ts = np.arange(0.0, t_end + 0.5 * dt, dt)
     ts[-1] = min(ts[-1], t_end)
     t_solve = time.perf_counter()
-    sol = solve_ivp(
-        rhs, (0.0, t_end), y0, t_eval=ts, rtol=settings.rtol, atol=settings.atol, vectorized=True
-    )
+    sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=ts, rtol=settings.rtol, atol=settings.atol)
     t_post = time.perf_counter()
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else 0.0
