@@ -258,14 +258,14 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
 
 
 def _write_sweep_stats(out: Path, outcome: SweepOutcome) -> None:
-    """sweep_stats.json: each candidate's solver counts, solve seconds and
-    error, and their totals. Its times vary from run to run, so it is no
-    part of the reproducible outputs."""
+    """sweep_stats.json: each candidate's RUN_STATS (null where a stage did
+    not run) and error, and their totals. Its times vary from run to run,
+    so it is no part of the reproducible outputs."""
     candidates = [
         {"config": r.config, **{key: r.stats.get(key) for key in RUN_STATS}, "error": r.error}
         for r in outcome.results
     ]
-    totals = {key: sum(r.stats[key] for r in outcome.results if r.stats) for key in RUN_STATS}
+    totals = {key: sum(c[key] for c in candidates if c[key] is not None) for key in RUN_STATS}
     totals["errors"] = len(outcome.failures)
     with open(out / "sweep_stats.json", "w") as fh:
         json.dump({"candidates": candidates, "totals": totals}, fh, indent=2)

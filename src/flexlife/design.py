@@ -12,6 +12,7 @@ roots (the weaker link governs).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +54,10 @@ class CandidateGrid:
                 yield self.config_id(i, j), t1, t2
 
 
-# what a candidate's run record keeps of its simulate stats: the solver
-# counts and the solve's wall seconds
-RUN_STATS = ("nfev", "njev", "nlu", "steps", "solve_s")
+# a candidate's run record: its simulate's solver counts, presolve and solve
+# seconds, then the seconds run_sweep spends in its candidate_lifetime
+SIM_STATS = ("nfev", "njev", "nlu", "steps", "presolve_s", "solve_s")
+RUN_STATS = SIM_STATS + ("lifetime_s",)
 
 
 @dataclass
@@ -70,8 +72,8 @@ class CandidateResult:
     d_max: float | None = None  # damage per task, None if fatigue stage skipped
     t_life_seconds: float | None = None  # inf for no-damage candidates
     error: str | None = None
-    # run record, kept out of the reproducible result files: RUN_STATS of
-    # the candidate's simulate (empty if it raised)
+    # run record, kept out of the reproducible result files: RUN_STATS (none
+    # if the simulation raised, no lifetime_s without the fatigue stage)
     stats: dict[str, float] = field(default_factory=dict)
 
 
@@ -228,7 +230,7 @@ def _evaluate_candidate(args):
     design = base.with_thicknesses(t1, t2)
     try:
         result = simulate(design, plan, settings.sim)
-        stats = {key: result.stats[key] for key in RUN_STATS}
+        stats = {key: result.stats[key] for key in SIM_STATS}
         j_vib = vibration_criterion(result)
         histories = link_stress_histories(design, result)
         return j_vib, histories, None, stats
@@ -285,9 +287,11 @@ def run_sweep(
     fatigue_set = set(front.ids) if settings.only_pareto_fatigue else {r.config for r in ok}
     for res in results:
         if res.config in fatigue_set and res.config in histories:
+            start = time.perf_counter()
             res.d_max, res.t_life_seconds = candidate_lifetime(
                 histories[res.config], settings, plan.t_task
             )
+            res.stats["lifetime_s"] = time.perf_counter() - start
     if not settings.keep_histories:
         histories = {}
     return SweepOutcome(results=results, front=front, histories=histories)

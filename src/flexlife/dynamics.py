@@ -224,6 +224,20 @@ def _harmonic_row(q2: float, q3: float) -> np.ndarray:
     return np.array([a * b for a in u2 for b in u3])
 
 
+def _distinct(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(first, source) of the rows (k, w) by their bits: source[i] is the
+    first row with the bits of row i, and first lists the rows that are
+    their own source. A row holding a NaN is its own. Row 0 is compared
+    with all rows at once, since most rows of a Jacobian batch share it."""
+    bits, alone = rows.view(np.int64), np.isnan(rows).any(axis=1)
+    source = np.where((bits == bits[:1]).all(axis=1) & ~alone, 0, np.arange(len(rows)))
+    seen = {}
+    for k in np.flatnonzero(source).tolist():
+        if not alone[k]:
+            source[k] = seen.setdefault(bits[k].tobytes(), k)
+    return np.flatnonzero(source == np.arange(len(rows))).tolist(), source
+
+
 def _roty(q: np.ndarray) -> np.ndarray:
     """Batched rotation about the local y axis; shape (..., 3, 3)."""
     q = np.asarray(q)
@@ -434,12 +448,21 @@ class RobotModel:
         """The table's columns [M | dM/dq2 | dM/dq3 | C | dC/dq2 | dC/dq3] at
         the angle pairs q23 (..., 2).
 
-        A batch reads each state as its own (1, 25) @ table product, which
-        gives the bits of one state's np.dot (a (k, 25) product would not).
+        A batch reads each distinct pair as its own (1, 25) @ table product,
+        the bits of one state's np.dot (a (k, 25) product would miss them),
+        and copies it in place to the rows that share it.
         """
         if q23.ndim == 1:
             return np.dot(_harmonic_row(*q23.tolist()), self._table)
-        return (_harmonics(q23, 1) @ self._table)[..., 0, :]
+        pairs = q23.reshape(-1, 2)
+        first, source = _distinct(pairs)
+        rows = np.empty((len(pairs), self._table.shape[1]))
+        np.matmul(_harmonics(pairs[first], 1), self._table, out=rows[: len(first), None])
+        for j, k in reversed(list(enumerate(first))):  # read j to row k >= j, last first
+            rows[k] = rows[j]
+        for k in np.unique(source[source != np.arange(len(source))]).tolist():
+            rows[source == k] = rows[k]
+        return rows.reshape(q23.shape[:-1] + rows.shape[-1:])
 
     def mass_gradients(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M, dM/dq2, dM/dq3) from the Fourier table; q may be a batch (..., n)."""
@@ -456,15 +479,15 @@ class RobotModel:
         One read of the harmonic table gives M, dM/dq2, dM/dq3 and the
         gravity monomial weights C, dC/dq2, dC/dq3; V_grav = e1^T C e2 over
         e = (1, q_e) of each link. M is (..., n, n) and f (..., n). One
-        state (2n,), which is every f call of the solver, takes a lean path
-        with the arithmetic of one row of a batch. The two must agree bit
-        for bit: the solver's Jacobian is a batch, and on a very stiff
-        design a one-ulp difference between them made VODE take 28 times
-        the steps.
+        state (2n,) takes :meth:`one_state_forces`, the path of every f
+        call of the solver, with the arithmetic of one row of a batch. The
+        two must agree bit for bit: the solver's Jacobian is a batch, and
+        on a very stiff design a one-ulp difference between them made VODE
+        take 28 times the steps.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._one_mass_and_forces(x)
+        if x.ndim == 1:  # fresh buffers, so the arrays are the caller's
+            return self.one_state_forces()(x, x.tolist())
         n, n2 = self.n, self.n**2
         q, qd = x[..., :n], x[..., n:]
         rows = self._read(q[..., 4:6])
@@ -488,29 +511,39 @@ class RobotModel:
         f[..., self.sl2] -= (e1[..., None, :] @ C[..., 0, :, 1:])[..., 0, :]
         return M, f
 
-    def _one_mass_and_forces(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """mass_and_forces of one state x (2n,): the batch's operations on
-        1-d operands, with the two angle rows of f in Python floats."""
-        n, n2, m1 = self.n, self.n**2, self.m1
-        qd = x[n:]
-        rows = self._read(x[4:6])
-        M = rows[:n2].reshape(n, n)
-        Mqd = (rows[n2 : 3 * n2].reshape(2 * n, n) @ qd).reshape(2, n)
-        C = rows[3 * n2 :].reshape(3, 1 + m1, 1 + self.m2)
-        # e = (1, q_e) of each link: the slice of x that ends with q_e, its
-        # first entry set to 1
-        e1 = x[5 : 6 + m1].copy()
-        e2 = x[5 + m1 : n].copy()
-        e1[0] = e2[0] = 1.0
-        Ce2 = C @ e2
-        g4, g5 = (Ce2[1:] @ e1).tolist()
-        h4, h5 = (Mqd @ qd).tolist()
-        f = x @ self._linear - qd[4:6] @ Mqd
-        f[4] += 0.5 * h4 - g4
-        f[5] += 0.5 * h5 - g5
-        f[self.sl1] -= Ce2[0, 1:]
-        f[self.sl2] -= e1 @ C[0, :, 1:]
-        return M, f
+    def one_state_forces(self):
+        """mass_and_forces of one state as forces(y, values) -> (M, f), y
+        holding x = (q, qd) in its first 2n entries and values = y.tolist().
+        M and f are views of buffers made here, which the next call
+        overwrites: the batch's operations on 1-d operands, written through
+        out=, with the two angle rows of f in Python floats."""
+        n, n2, m1, table, linear = self.n, self.n**2, self.m1, self._table, self._linear
+        sl1, sl2, buf = self.sl1, self.sl2, np.empty(table.shape[1])
+        M = buf[:n2].reshape(n, n)
+        dM = buf[n2 : 3 * n2].reshape(2 * n, n)  # d/dq2 rows, then d/dq3
+        C = buf[3 * n2 :].reshape(3, 1 + m1, 1 + self.m2)
+        C0, e1, e2 = C[0, :, 1:], np.ones(1 + m1), np.ones(1 + self.m2)  # e = (1, q_e)
+        Mqd, Ce2, f, tmp, tmp2 = map(np.empty, ((2, n), (3, 1 + m1), n, n, self.m2))
+        Mqd_flat, Ce2_0, Ce2_d = Mqd.reshape(-1), Ce2[0, 1:], Ce2[1:]
+
+        def forces(y: np.ndarray, values: list[float]) -> tuple[np.ndarray, np.ndarray]:
+            np.dot(_harmonic_row(values[4], values[5]), table, out=buf)
+            qd = y[n : 2 * n]
+            np.dot(dM, qd, out=Mqd_flat)
+            e1[1:] = y[6 : 6 + m1]
+            e2[1:] = y[6 + m1 : n]
+            np.matmul(C, e2, out=Ce2)  # three (1 + m1, 1 + m2) products, as in a batch
+            g4, g5 = np.dot(Ce2_d, e1).tolist()
+            h4, h5 = np.dot(Mqd, qd).tolist()
+            np.dot(y[: 2 * n], linear, out=f)
+            np.subtract(f, np.dot(qd[4:6], Mqd, out=tmp), out=f)
+            f[4] += 0.5 * h4 - g4
+            f[5] += 0.5 * h5 - g5
+            f[sl1] -= Ce2_0
+            f[sl2] -= np.matmul(e1, C0, out=tmp2)  # on the strided C0, np.dot's bits differ
+            return M, f
+
+        return forces
 
     # ----- potential energy and its gradient ---------------------------
 
@@ -858,15 +891,14 @@ def _mass_solver():
     f (n,), or of a batch, M (..., n, n) and f (..., n). SimulationError
     with t_failure = t if M is not positive definite.
 
-    A single state, which is every f call of the solver, goes straight to
-    scipy's LAPACK, bound here once: a Cholesky factorisation (dpotrf) as
-    the guard, then an LU solve (dgesv). The Jacobian's batches keep
-    numpy's batched calls. The two agree to 1e-13, not bit for bit: they
-    gave the same bits on the demo states sampled but not on many random
-    SPD systems, so this solve is where f and the Jacobian can still part
-    under another build of the wheels.
+    Every M goes to scipy's LAPACK, bound here once: a Cholesky
+    factorisation (dpotrf) as the guard, then an LU solve. A single state,
+    which is every f call of the solver, takes dgesv. A batch guards and
+    factors each distinct M once (dgetrf) and solves each row with dgetrs;
+    dgesv is dgetrf followed by dgetrs, so every row of a Jacobian batch
+    gets the bits of the f call at its state.
     """
-    from scipy.linalg.lapack import dgesv, dpotrf
+    from scipy.linalg.lapack import dgesv, dgetrf, dgetrs, dpotrf
 
     def solve(t: float, M: np.ndarray, f: np.ndarray) -> np.ndarray:
         if M.ndim == 2:
@@ -875,12 +907,14 @@ def _mass_solver():
                 if info == 0:
                     return acc
         else:
-            try:
-                np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                return np.linalg.solve(M, f[..., None])[..., 0]
+            Ms, fs = M.reshape(-1, *M.shape[-2:]), f.reshape(-1, f.shape[-1])
+            first, source = _distinct(Ms.reshape(len(Ms), M.shape[-1] ** 2))
+            factors = {k: dgetrf(Ms[k]) for k in first if dpotrf(Ms[k], lower=1)[1] == 0}
+            if len(factors) == len(first) and not any(lu[2] for lu in factors.values()):
+                acc = np.empty_like(fs)
+                for k, j in enumerate(source.tolist()):
+                    acc[k] = dgetrs(*factors[j][:2], fs[k])[0]
+                return acc.reshape(f.shape)
         raise SimulationError(f"mass matrix not positive definite at t={t:.6f}", t)
 
     return solve
@@ -1130,15 +1164,17 @@ def simulate(
             return e_v
 
     solve_mass = _mass_solver()
+    forces = model.one_state_forces()
 
     def rhs(t, y):
         # y is one state (N,), every f call of the solver, or states as rows
         # (k, N) for its Jacobian
         if y.ndim == 1:
-            M, force = model.mass_and_forces(y[: 2 * n])
+            values = y.tolist()
+            M, force = forces(y, values)
             if not controlled:
                 return np.concatenate((y[n:], solve_mass(t, M, force)))
-            e_v = drive(t, y.tolist(), force)
+            e_v = drive(t, values, force)
             return np.concatenate((y[n : 2 * n], solve_mass(t, M, force), e_v))
         M, force = model.mass_and_forces(y[:, : 2 * n])
         out = np.empty_like(y)

@@ -426,16 +426,38 @@ class TestSweepCommand:
         result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
         stats = json.loads((out / "sweep_stats.json").read_text())
-        keys = ["nfev", "njev", "nlu", "steps", "solve_s"]
+        keys = ["nfev", "njev", "nlu", "steps", "presolve_s", "solve_s", "lifetime_s"]
         assert [c["config"] for c in stats["candidates"]] == [1, 2, 3]
         ran, failed = stats["candidates"][:2], stats["candidates"][2]
         for c in ran:
+            assert list(c) == ["config", *keys, "error"]
             assert c["error"] is None
             assert c["nfev"] >= c["steps"] > 0 and c["nlu"] >= c["njev"] > 0
-            assert c["solve_s"] > 0.0
+            assert c["presolve_s"] > 0.0 and c["solve_s"] > 0.0 and c["lifetime_s"] > 0.0
         assert failed["error"].startswith("SimulationError: integration failed")
         assert all(failed[key] is None for key in keys)
         assert stats["totals"] == {**{key: sum(c[key] for c in ran) for key in keys}, "errors": 1}
+
+    def test_sweep_stats_lifetime_only_where_the_stage_ran(self, runner, tmp_path,
+                                                          monkeypatch):
+        # with --only-pareto-fatigue a candidate off the front has no
+        # lifetime stage: its lifetime_s is null and the total skips it
+        from flexlife import design
+
+        monkeypatch.setattr(design, "pareto_front", lambda ok: design.ParetoFront((1, 3)))
+        cfg = fast_config(tmp_path, **{"sweep.t1_values": [0.001, 0.002, 0.004]})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out),
+                                      "--only-pareto-fatigue"])
+        assert result.exit_code == 0, result.output
+        front = json.loads((out / "pareto.json").read_text())["front"]
+        stats = json.loads((out / "sweep_stats.json").read_text())
+        assert front == [1, 3]
+        for c in stats["candidates"]:
+            assert c["error"] is None and c["presolve_s"] > 0.0
+            assert (c["lifetime_s"] is not None) == (c["config"] in front)
+        lifetimes = [c["lifetime_s"] for c in stats["candidates"] if c["config"] in front]
+        assert stats["totals"]["lifetime_s"] == sum(lifetimes)
 
     def test_empty_grid_is_config_error(self, runner, tmp_path):
         cfg = fast_config(tmp_path, **{"sweep.t1_values": []})

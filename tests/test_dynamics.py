@@ -618,17 +618,29 @@ def captured_rhs(design, plan, settings, monkeypatch):
 
 
 def indefinite_mass(monkeypatch):
-    """Models built from here on return -M from mass_and_forces; their
-    constructor's table check still sees the true M."""
-    build, real = dyn.RobotModel.__init__, dyn.RobotModel.mass_and_forces
+    """Models built from here on return -M from mass_and_forces and from
+    their one-state forces; their constructor's table check still sees the
+    true M."""
+    build = dyn.RobotModel.__init__
+    real, real_one = dyn.RobotModel.mass_and_forces, dyn.RobotModel.one_state_forces
 
     def negated(self, x):
         M, f = real(self, x)
         return -M, f
 
+    def negated_one(self):
+        forces = real_one(self)
+
+        def negated_forces(y, values):
+            M, f = forces(y, values)
+            return -M, f
+
+        return negated_forces
+
     def init(self, design):
         build(self, design)
         self.mass_and_forces = negated.__get__(self)
+        self.one_state_forces = negated_one.__get__(self)
 
     monkeypatch.setattr(dyn.RobotModel, "__init__", init)
 
@@ -767,6 +779,28 @@ class TestMassAndForces:
         assert np.isnan(M).all()
         np.testing.assert_array_equal(M, M_b[0])
         np.testing.assert_array_equal(f, f_b[0])
+
+    def test_batch_shares_reads_of_bitwise_equal_angles(self, model):
+        # a batch reads the table once per distinct angle pair: pairs equal
+        # bit for bit share the read, 0.0 and -0.0 do not, nor do two NaN
+        # angles; every row keeps the bits of its one-state call
+        nan = np.nan
+        pairs = np.array([[0.3, 1.1], [0.3, 1.1], [0.0, 1.1], [-0.0, 1.1], [nan, 1.1],
+                          [nan, 1.1], [0.3, 1.1], [0.0, 1.1], [0.3, np.nextafter(1.1, 2.0)]])
+        first, source = dyn._distinct(pairs)
+        assert first == [0, 2, 3, 4, 5, 8]
+        assert source.tolist() == [0, 0, 2, 3, 4, 5, 0, 2, 8]
+        rng = np.random.default_rng(44)
+        X = rng.normal(0.0, 1.0, (len(pairs), 2 * model.n))
+        X[:, 4:6] = pairs
+        X[:, 6 : model.n] *= 1e-2
+        M, f = model.mass_and_forces(X)
+        for k, x in enumerate(X):
+            M_k, f_k = model.mass_and_forces(x)
+            if np.isnan(x[4]):
+                assert np.isnan(M_k).all() and np.isnan(M[k]).all()
+            else:
+                assert M_k.tobytes() == M[k].tobytes() and f_k.tobytes() == f[k].tobytes(), k
 
     def test_harmonic_row_gives_harmonics_bits(self):
         # one state's math.cos harmonics against the batch's np.cos ones
@@ -1031,7 +1065,7 @@ class TestMassMatrixGuard:
         # VODE's f sees (the Jacobian calls are batches), so the guard trips
         # inside f, whose exceptions VODE does not propagate
         now = [0.0]
-        real_solver, real_mass = dyn.solve_ivp, dyn.RobotModel.mass_and_forces
+        real_solver, real_one = dyn.solve_ivp, dyn.RobotModel.one_state_forces
 
         def solver(fun, *args, **kwargs):
             def timed(t, y):
@@ -1040,12 +1074,17 @@ class TestMassMatrixGuard:
 
             return real_solver(timed, *args, **kwargs)
 
-        def mass_and_forces(self, x):
-            M, f = real_mass(self, x)
-            return (-M if x.ndim == 1 and now[0] > 0.05 else M), f
+        def one_state_forces(self):
+            forces = real_one(self)
+
+            def turning(y, values):
+                M, f = forces(y, values)
+                return (-M if now[0] > 0.05 else M), f
+
+            return turning
 
         monkeypatch.setattr(dyn, "solve_ivp", solver)
-        monkeypatch.setattr(dyn.RobotModel, "mass_and_forces", mass_and_forces)
+        monkeypatch.setattr(dyn.RobotModel, "one_state_forces", one_state_forces)
         with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
             dyn.simulate(small_design, short_plan, fast_sim)
         assert not isinstance(info.value, ValueError)
@@ -1083,11 +1122,14 @@ def clip_law(gains, q_motor, qd_motor, q_des, qd_des, integrator, tau_ff, tau_li
 
 class TestRhsFastPaths:
     """The RHS's per-call paths against the numpy calls they replace.
-    The mass solve runs LAPACK directly; the wheels CI installs may carry
-    another LAPACK build than numpy's, so it is held to 1e-13 of each
-    state's largest acceleration (measured: identical bits). The
-    feedforward lookup and the controller do the same IEEE operations as
-    their references and must give the same bits."""
+    The mass solve runs scipy's LAPACK: dgesv for an f call, and dgetrf
+    once per distinct M then dgetrs per row for a Jacobian batch. dgesv is
+    dgetrf followed by dgetrs, so the f call and every Jacobian row give
+    the same bits (tolerance 0). Against numpy's solve, which another
+    LAPACK build may carry, the solve is held to 1e-13 of each state's
+    largest acceleration. The feedforward lookup and the controller do the
+    same IEEE operations as their references and must give the same
+    bits."""
 
     def test_mass_solve_matches_numpy(self, small_design):
         model = dyn.RobotModel(demo_modes(small_design))
@@ -1119,6 +1161,84 @@ class TestRhsFastPaths:
         with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
             dyn._mass_solver()(0.125, M, f)
         assert info.value.t_failure == 0.125
+
+    def test_batch_solve_gives_one_state_bits(self):
+        # a Jacobian batch shares one M across most of its rows: each
+        # distinct M is factored once (dgetrf) and each row solved with
+        # dgetrs, which must give the single state's dgesv bits, tolerance
+        # 0 (numpy's batched solve, used before, misses them on 51 of these
+        # 299 rows)
+        rng = np.random.default_rng(55)
+        A = rng.normal(0.0, 1.0, (200, 16, 16))
+        Ms = A @ np.swapaxes(A, -1, -2) + 16.0 * np.eye(16)
+        order = rng.permutation(299)
+        M = np.concatenate((np.repeat(Ms[:1], 100, axis=0), Ms[1:]))[order]
+        f = rng.normal(0.0, 1.0, (299, 16))
+        solve = dyn._mass_solver()
+        acc = solve(0.5, M, f)
+        assert acc.shape == f.shape
+        for k in range(len(M)):
+            assert solve(0.5, M[k], f[k]).tobytes() == acc[k].tobytes(), k
+        grid = solve(0.5, M.reshape(13, 23, 16, 16), f.reshape(13, 23, 16))
+        assert grid.tobytes() == acc.tobytes()
+        # the shared M turned indefinite, the rows with their own M not
+        M[order < 100] = -Ms[0]
+        with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
+            solve(0.5, M, f)
+        assert info.value.t_failure == 0.5
+
+    def test_one_state_results_are_the_callers(self, small_design, short_plan, fast_sim,
+                                               monkeypatch):
+        # the one-state path writes into buffers made once per run; they
+        # stay private to the RHS, so a later call overwrites nothing that
+        # mass_and_forces or rhs returned
+        model = dyn.RobotModel(small_design)
+        rng = np.random.default_rng(56)
+        X = rng.normal(0.0, 1.0, (2, 2 * model.n))
+        X[:, 6 : model.n] *= 1e-2
+        first = model.mass_and_forces(X[0])
+        kept = [a.copy() for a in first]
+        second = model.mass_and_forces(X[1])
+        for a, b in zip(first, kept):
+            assert a.tobytes() == b.tobytes()
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        rhs, y0 = captured_rhs(small_design, short_plan, fast_sim, monkeypatch)
+        Y = y0 + rng.normal(0.0, 1e-3, (2, y0.size))
+        out = rhs(0.1, Y[0])
+        kept = out.copy()
+        later = rhs(0.1, Y[1])
+        assert out.tobytes() == kept.tobytes() != later.tobytes()
+        assert not np.shares_memory(out, later)
+
+    def test_solve_calls_no_numpy_linalg(self, small_design, short_plan, fast_sim,
+                                         monkeypatch):
+        # every mass solve of the RHS, f call or Jacobian row, runs scipy's
+        # LAPACK: numpy's solve and cholesky are not called while VODE runs
+        solving, calls = [], []
+        real_solver = dyn.solve_ivp
+
+        def solver(*args, **kwargs):
+            solving.append(True)
+            try:
+                return real_solver(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                if solving:
+                    calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(dyn, "solve_ivp", solver)
+        for name in ("solve", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        result = dyn.simulate(small_design, short_plan, fast_sim)
+        assert result.stats["njev"] > 0 and calls == []
 
     def test_feedforward_lookup_gives_interp_bits(self, small_design, short_plan):
         model = dyn.RobotModel(small_design)
