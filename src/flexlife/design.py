@@ -54,9 +54,9 @@ class CandidateGrid:
                 yield self.config_id(i, j), t1, t2
 
 
-# a candidate's run record: its simulate's solver counts, presolve and solve
-# seconds, then the seconds run_sweep spends in its candidate_lifetime
-SIM_STATS = ("nfev", "njev", "nlu", "steps", "presolve_s", "solve_s")
+# a candidate's run record: its simulate's solver counts, presolve, solve and
+# postsolve seconds, then the seconds run_sweep spends in its candidate_lifetime
+SIM_STATS = ("nfev", "njev", "nlu", "steps", "presolve_s", "solve_s", "postsolve_s")
 RUN_STATS = SIM_STATS + ("lifetime_s",)
 
 

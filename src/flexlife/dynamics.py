@@ -103,11 +103,15 @@ class DriveParams:
     torque_limit: float = math.inf
 
     def __post_init__(self):
-        for name in ("rotor_inertia", "gear_ratio", "stiffness", "torque_limit"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.damping < 0.0:
-            raise ValueError(f"damping must be >= 0, got {self.damping}")
+        # written so that NaN fails every check; only the torque limit may
+        # be infinite (no saturation)
+        for name in ("rotor_inertia", "gear_ratio", "stiffness"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not self.torque_limit > 0.0:
+            raise ValueError(f"torque_limit must be positive, got {self.torque_limit}")
+        if not 0.0 <= self.damping < math.inf:
+            raise ValueError(f"damping must be >= 0 and finite, got {self.damping}")
 
     @property
     def reflected_inertia(self) -> float:
@@ -134,10 +138,13 @@ class LinkParams:
 
     def __post_init__(self):
         for name in ("length", "wall_thickness"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.damping_beta < 0.0:
-            raise ValueError(f"damping_beta must be >= 0, got {self.damping_beta}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.damping_beta < math.inf:
+            raise ValueError(f"damping_beta must be >= 0 and finite, got {self.damping_beta}")
+        for name in ("stress_y", "stress_z"):
+            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be None or finite, got {getattr(self, name)}")
         if not (0.0 <= self.xi_crit <= self.length):
             raise ValueError(f"xi_crit={self.xi_crit} outside the link span [0, {self.length}]")
 
@@ -160,11 +167,13 @@ class RobotDesign:
     def __post_init__(self):
         if len(self.links) != 2 or len(self.drives) != 3:
             raise ValueError("the arm has exactly two elastic links and three drives")
-        if self.edge_length <= 0.0:
-            raise ValueError(f"edge_length must be positive, got {self.edge_length}")
+        if not 0.0 < self.edge_length < math.inf:
+            raise ValueError(f"edge_length must be positive and finite, got {self.edge_length}")
         for name in ("hub1_inertia", "hub2_mass", "hub2_inertia", "payload_mass"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if len(self.gravity) != 3 or not all(map(math.isfinite, self.gravity)):
+            raise ValueError(f"gravity must be three finite components, got {self.gravity}")
 
     def beam_spec(self, index: int) -> BeamSpec:
         link = self.links[index]
@@ -696,7 +705,8 @@ def energy(model: RobotModel, state: GeneralizedState) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Cascaded position/velocity loop gains, one value per joint."""
+    """Cascaded position/velocity loop gains, one value per joint, kept as
+    Python floats for :func:`control_law`."""
 
     kp_pos: tuple[float, float, float]  # 1/s
     kp_vel: tuple[float, float, float]  # N m s/rad
@@ -708,43 +718,32 @@ class ControllerGains:
             vals = np.asarray(getattr(self, name), dtype=float)
             if vals.shape != (3,):
                 raise ValueError(f"{name} needs exactly three entries")
-            if np.any(vals < 0.0) or (name != "ki_vel" and np.any(vals == 0.0)):
-                raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, tuple(vals))
-
-    @functools.cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(kp_pos, kp_vel, ki_vel) as read-only arrays, built once for the
-        control law."""
-        out = tuple(np.array(getattr(self, name)) for name in ("kp_pos", "kp_vel", "ki_vel"))
-        for a in out:
-            a.flags.writeable = False
-        return out
+            # NaN fails both bounds; ki_vel may be 0 (no integral action)
+            floor = vals >= 0.0 if name == "ki_vel" else vals > 0.0
+            if not np.all(floor & (vals < math.inf)):
+                bound = ">= 0" if name == "ki_vel" else "positive"
+                raise ValueError(f"{name} must be {bound} and finite, got {vals.tolist()}")
+            object.__setattr__(self, name, tuple(vals.tolist()))
 
 
-def controller(
-    gains: ControllerGains,
-    q_motor: np.ndarray,
-    qd_motor: np.ndarray,
-    q_des: np.ndarray,
-    qd_des: np.ndarray,
-    integrator: np.ndarray,
-    tau_ff: np.ndarray | None = None,
-    tau_limit: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cascaded P position / PI velocity law on the motor coordinates.
+def control_law(law, q_des, qd_des, tau_ff, y, n: int) -> tuple[list[float], list[float]]:
+    """Cascaded P position / PI velocity law on the motor coordinates of
+    one state, in Python floats.
 
-    Returns the (saturated) motor torque and the integrator rate, which is
-    the inner-loop velocity error.
+    law holds per joint (kp_pos, kp_vel, ki_vel, torque limit); y is the
+    state (q, qd, integrators) as a list of n + n + 3 floats; q_des,
+    qd_des and tau_ff (None: no feedforward) are the reference at t.
+    Returns the saturated motor torques and the integrator rates, which
+    are the inner-loop velocity errors.
     """
-    kp, kv, ki = gains.arrays
-    v_cmd = qd_des + kp * (q_des - q_motor)
-    e_v = v_cmd - qd_motor
-    tau = kv * e_v + ki * integrator
-    if tau_ff is not None:
-        tau = tau + tau_ff
-    if tau_limit is not None:
-        tau = np.minimum(np.maximum(tau, -tau_limit), tau_limit)
+    tau, e_v = [], []
+    for j, (kp, kv, ki, limit) in enumerate(law):
+        e = qd_des[j] + kp * (q_des[j] - y[j]) - y[n + j]
+        torque = kv * e + ki * y[2 * n + j]
+        if tau_ff is not None:
+            torque = torque + tau_ff[j]
+        tau.append(min(max(torque, -limit), limit))
+        e_v.append(e)
     return tau, e_v
 
 
@@ -1134,58 +1133,51 @@ def simulate(
         gains = settings.gains
         # preload the velocity integrator with the gravity-holding torque so
         # the run starts without a droop transient
-        ki = gains.arrays[2]
         hold = model.k_gear * (q0[:3] - q0[3:6])
         if gains.feedforward:
             ts_ff, tau_ff = _feedforward_table(model, plan, t_end, 2e-3)
             feedforward = _row_lookup(ts_ff, tau_ff)
             hold = hold - tau_ff[0]
-        x0 = np.zeros(3)
-        mask = ki > 0.0
-        x0[mask] = hold[mask] / ki[mask]
-        y0[2 * n :] = x0
-        # per joint (kp_pos, kp_vel, ki_vel, torque limit) as Python floats
-        law = list(zip(*(a.tolist() for a in (*gains.arrays, model.tau_limit))))
-
-        def drive(t: float, y: list[float], force: np.ndarray) -> list[float]:
-            """Add the drive torques of one state y at t to force and return
-            the integrator rates e_v: controller's law in Python floats, the
-            same IEEE operations on the same inputs, so the same bits."""
-            q_des, qd_des, _ = plan.sample_floats(t)
-            tau_ff = None if feedforward is None else feedforward(t)
-            e_v = []
-            for j, (kp, kv, ki_j, limit) in enumerate(law):
-                e = qd_des[j] + kp * (q_des[j] - y[j]) - y[n + j]
-                tau = kv * e + ki_j * y[2 * n + j]
-                if tau_ff is not None:
-                    tau = tau + tau_ff[j]
-                force[j] += min(max(tau, -limit), limit)
-                e_v.append(e)
-            return e_v
+        y0[2 * n :] = [h / ki if ki > 0.0 else 0.0 for h, ki in zip(hold.tolist(), gains.ki_vel)]
+        law = list(zip(gains.kp_pos, gains.kp_vel, gains.ki_vel, model.tau_limit.tolist()))
+        # the law reads q_M, qd_M and the integrators of a state
+        inputs = np.r_[0:3, n : n + 3, 2 * n : 2 * n + 3]
 
     solve_mass = _mass_solver()
     forces = model.one_state_forces()
 
     def rhs(t, y):
         # y is one state (N,), every f call of the solver, or states as rows
-        # (k, N) for its Jacobian
+        # (k, N) for its Jacobian; both run control_law on one state at a
+        # time, with the reference sampled once per call
+        if controlled:
+            q_des, qd_des, _ = plan.sample_floats(t)
+            tau_ff = None if feedforward is None else feedforward(t)
         if y.ndim == 1:
             values = y.tolist()
             M, force = forces(y, values)
             if not controlled:
                 return np.concatenate((y[n:], solve_mass(t, M, force)))
-            e_v = drive(t, values, force)
+            tau, e_v = control_law(law, q_des, qd_des, tau_ff, values, n)
+            for j, tau_j in enumerate(tau):
+                force[j] += tau_j
             return np.concatenate((y[n : 2 * n], solve_mass(t, M, force), e_v))
         M, force = model.mass_and_forces(y[:, : 2 * n])
         out = np.empty_like(y)
         if controlled:
-            q_des, qd_des, _ = plan.sample(t)
-            tau, e_v = controller(
-                settings.gains, y[:, :3], y[:, n : n + 3], q_des, qd_des, y[:, 2 * n :],
-                None if feedforward is None else np.array(feedforward(t)), model.tau_limit,
-            )
-            force[:, :3] += tau
-            out[:, 2 * n :] = e_v
+            # the law runs on row 0 and on each row whose inputs differ from
+            # row 0's in their bits; the other rows take row 0's torques and
+            # rates, which are the bits their own calls would give. U holds
+            # each row's inputs as a state of 3 coordinates: (q_M, qd_M, x)
+            U = y[:, inputs]
+            bits = U.view(np.int64)
+            own = (bits != bits[0]).any(axis=1)
+            own[0] = True
+            laws = np.array([control_law(law, q_des, qd_des, tau_ff, u, 3)
+                             for u in U[own].tolist()])
+            laws = laws[np.where(own, np.cumsum(own) - 1, 0)]
+            force[:, :3] += laws[:, 0]
+            out[:, 2 * n :] = laws[:, 1]
         out[:, :n] = y[:, n : 2 * n]
         out[:, n : 2 * n] = solve_mass(t, M, force)
         return out

@@ -426,14 +426,16 @@ class TestSweepCommand:
         result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
         stats = json.loads((out / "sweep_stats.json").read_text())
-        keys = ["nfev", "njev", "nlu", "steps", "presolve_s", "solve_s", "lifetime_s"]
+        keys = ["nfev", "njev", "nlu", "steps", "presolve_s", "solve_s", "postsolve_s",
+                "lifetime_s"]
         assert [c["config"] for c in stats["candidates"]] == [1, 2, 3]
         ran, failed = stats["candidates"][:2], stats["candidates"][2]
         for c in ran:
             assert list(c) == ["config", *keys, "error"]
             assert c["error"] is None
             assert c["nfev"] >= c["steps"] > 0 and c["nlu"] >= c["njev"] > 0
-            assert c["presolve_s"] > 0.0 and c["solve_s"] > 0.0 and c["lifetime_s"] > 0.0
+            assert all(c[key] > 0.0 for key in ("presolve_s", "solve_s", "postsolve_s",
+                                                "lifetime_s"))
         assert failed["error"].startswith("SimulationError: integration failed")
         assert all(failed[key] is None for key in keys)
         assert stats["totals"] == {**{key: sum(c[key] for c in ran) for key in keys}, "errors": 1}

@@ -301,11 +301,61 @@ class TestLinkParams:
 
     @pytest.mark.parametrize("field, value", [
         ("length", 0.0), ("wall_thickness", -0.004), ("damping_beta", -1e-5),
+        ("length", np.nan), ("length", np.inf), ("wall_thickness", np.nan),
+        ("damping_beta", np.nan), ("damping_beta", np.inf), ("stress_y", np.nan),
+        ("stress_z", np.inf),
     ])
     def test_out_of_range_field_named(self, field, value):
         kw = {"length": 0.6, "wall_thickness": 0.004, field: value}
         with pytest.raises(ValueError, match=field):
             dyn.LinkParams(**kw)
+
+
+# NaN fails every range check of the parameter classes: a NaN torque limit,
+# for one, would switch the control law's saturation off
+class TestDriveParams:
+    @pytest.mark.parametrize("field, value", [
+        ("rotor_inertia", 0.0), ("rotor_inertia", np.nan), ("rotor_inertia", np.inf),
+        ("gear_ratio", -100.0), ("gear_ratio", np.nan), ("stiffness", np.nan),
+        ("stiffness", np.inf), ("damping", -1.0), ("damping", np.nan), ("damping", np.inf),
+        ("torque_limit", 0.0), ("torque_limit", np.nan), ("torque_limit", -np.inf),
+    ])
+    def test_out_of_range_field_named(self, field, value):
+        kw = {"rotor_inertia": 5e-5, "gear_ratio": 100.0, "stiffness": 1.5e4, field: value}
+        with pytest.raises(ValueError, match=field):
+            dyn.DriveParams(**kw)
+
+    def test_infinite_torque_limit_accepted(self):
+        drive = dyn.DriveParams(5e-5, 100.0, 1.5e4, torque_limit=np.inf)
+        assert drive.torque_limit == np.inf
+
+
+class TestRobotDesign:
+    @pytest.mark.parametrize("field, value", [
+        ("edge_length", 0.0), ("edge_length", np.nan), ("edge_length", np.inf),
+        ("hub1_inertia", -0.1), ("hub1_inertia", np.nan), ("hub2_mass", np.nan),
+        ("hub2_inertia", np.inf), ("payload_mass", np.nan), ("payload_mass", -1.0),
+        ("gravity", (0.0, 0.0, np.nan)), ("gravity", (0.0, -9.81)),
+    ])
+    def test_out_of_range_field_named(self, small_design, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(small_design, **{field: value})
+
+
+class TestControllerGains:
+    @pytest.mark.parametrize("field, value", [
+        ("kp_pos", 0.0), ("kp_pos", np.nan), ("kp_pos", np.inf), ("kp_vel", -300.0),
+        ("kp_vel", np.nan), ("ki_vel", -1.0), ("ki_vel", np.nan), ("ki_vel", np.inf),
+    ])
+    def test_out_of_range_field_named(self, demo_gains, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(demo_gains, **{field: (12.0, value, 12.0)})
+
+    def test_gains_are_python_floats(self):
+        gains = dyn.ControllerGains(np.full(3, 12.0), [300, 300, 150], (1500.0, 0.0, 800.0))
+        for name in ("kp_pos", "kp_vel", "ki_vel"):
+            assert all(type(g) is float for g in getattr(gains, name))
+        assert gains.ki_vel == (1500.0, 0.0, 800.0)
 
 
 class TestSimSettings:
@@ -365,9 +415,20 @@ class TestEnergy:
         assert drift < 1e-6
 
 
+def run_law(gains, q_motor, qd_motor, q_des, qd_des, integrator, tau_ff=None,
+            tau_limit=(np.inf,) * 3):
+    """control_law on the motor coordinates of one state, laid out as a
+    state of n = 3 coordinates: (q_M, qd_M, integrators). Arrays out."""
+    law = list(zip(gains.kp_pos, gains.kp_vel, gains.ki_vel, np.asarray(tau_limit).tolist()))
+    y = np.concatenate((q_motor, qd_motor, integrator)).tolist()
+    ref = (np.asarray(a, dtype=float).tolist() for a in (q_des, qd_des))
+    tau_ff = None if tau_ff is None else np.asarray(tau_ff).tolist()
+    return tuple(np.array(a) for a in dyn.control_law(law, *ref, tau_ff, y, 3))
+
+
 class TestController:
     def test_zero_error_zero_torque(self, demo_gains):
-        tau, e_v = dyn.controller(
+        tau, e_v = run_law(
             demo_gains,
             q_motor=np.array([1.0, 2.0, 3.0]),
             qd_motor=np.zeros(3),
@@ -380,7 +441,7 @@ class TestController:
 
     def test_static_error_cascade_algebra(self, demo_gains):
         delta = 0.05
-        tau, _ = dyn.controller(
+        tau, _ = run_law(
             demo_gains,
             q_motor=np.array([-delta, 0.0, 0.0]),
             qd_motor=np.zeros(3),
@@ -392,7 +453,7 @@ class TestController:
         assert tau[1] == tau[2] == 0.0
 
     def test_saturation(self, demo_gains):
-        tau, _ = dyn.controller(
+        tau, _ = run_law(
             demo_gains,
             q_motor=np.array([-10.0, 0.0, 0.0]),
             qd_motor=np.zeros(3),
@@ -495,7 +556,7 @@ class TestSimulate:
     ):
         solving = []
         calls = []
-        real_solver, real_controller = dyn.solve_ivp, dyn.controller
+        real_solver, real_law = dyn.solve_ivp, dyn.control_law
 
         def solver(*args, **kwargs):
             solving.append(True)
@@ -506,10 +567,10 @@ class TestSimulate:
 
         def recording(*args):
             calls.append(bool(solving))
-            return real_controller(*args)
+            return real_law(*args)
 
         monkeypatch.setattr(dyn, "solve_ivp", solver)
-        monkeypatch.setattr(dyn, "controller", recording)
+        monkeypatch.setattr(dyn, "control_law", recording)
         res = dyn.simulate(small_design, short_plan, fast_sim)
         assert calls and all(calls)
         assert not hasattr(res, "tau")
@@ -1111,12 +1172,13 @@ def numpy_mass_solve(t, M, f):
 
 
 def clip_law(gains, q_motor, qd_motor, q_des, qd_des, integrator, tau_ff, tau_limit):
-    """The control law with the gains read from their tuples on each call
-    and np.clip as the saturation."""
+    """The control law in numpy, with np.clip as the saturation; tau_ff
+    None is no feedforward."""
     kp, kv, ki = (np.asarray(g) for g in (gains.kp_pos, gains.kp_vel, gains.ki_vel))
     e_v = qd_des + kp * (q_des - q_motor) - qd_motor
     tau = kv * e_v + ki * integrator
-    tau = tau + tau_ff
+    if tau_ff is not None:
+        tau = tau + tau_ff
     return np.clip(tau, -tau_limit, tau_limit), e_v
 
 
@@ -1127,9 +1189,12 @@ class TestRhsFastPaths:
     dgetrf followed by dgetrs, so the f call and every Jacobian row give
     the same bits (tolerance 0). Against numpy's solve, which another
     LAPACK build may carry, the solve is held to 1e-13 of each state's
-    largest acceleration. The feedforward lookup and the controller do the
-    same IEEE operations as their references and must give the same
-    bits."""
+    largest acceleration. The feedforward lookup and the control law do
+    the same IEEE operations as their numpy references and must give the
+    same bits. One Python-float control_law serves the f call and every
+    Jacobian row; a batch runs it on row 0 and on each row whose control
+    inputs differ in their bits from row 0's, and the other rows take row
+    0's torques and rates, so each row still gets its f call's bits."""
 
     def test_mass_solve_matches_numpy(self, small_design):
         model = dyn.RobotModel(demo_modes(small_design))
@@ -1262,9 +1327,9 @@ class TestRhsFastPaths:
     @pytest.mark.parametrize("feedforward", [True, False])
     def test_one_state_rhs_gives_numpy_control_bits(self, small_design, short_plan, fast_sim,
                                                     feedforward, monkeypatch):
-        # one state's RHS runs the control law in Python floats; the batch's
-        # numpy calls on plan.sample, the np.interp lookup and controller
-        # must give the same bits, saturated torques included
+        # one state's RHS runs the control law in Python floats; numpy's
+        # calls on plan.sample, the np.interp lookup and clip_law must give
+        # the same bits, saturated torques included
         gains = dataclasses.replace(fast_sim.gains, feedforward=feedforward)
         settings = dataclasses.replace(fast_sim, gains=gains)
         rhs, y0 = captured_rhs(small_design, short_plan, settings, monkeypatch)
@@ -1288,8 +1353,8 @@ class TestRhsFastPaths:
             for y in Y:
                 M, f = model.mass_and_forces(y[: 2 * n])
                 q_des, qd_des, _ = short_plan.sample(t)
-                tau, e_v = dyn.controller(gains, y[:3], y[n : n + 3], q_des, qd_des,
-                                          y[2 * n :], lookup(t), model.tau_limit)
+                tau, e_v = clip_law(gains, y[:3], y[n : n + 3], q_des, qd_des,
+                                    y[2 * n :], lookup(t), model.tau_limit)
                 saturated.append(np.abs(tau) == model.tau_limit)
                 f[:3] += tau
                 want = np.concatenate((y[n : 2 * n], solve(t, M, f), e_v))
@@ -1305,9 +1370,42 @@ class TestRhsFastPaths:
         tau_ref, e_ref = clip_law(demo_gains, *args, tau_ff, tau_limit)
         saturated = np.abs(tau_ref) == tau_limit
         assert saturated.any() and not saturated.all()
-        tau, e_v = dyn.controller(demo_gains, *args, tau_ff, tau_limit)
-        assert tau.tobytes() == tau_ref.tobytes() and e_v.tobytes() == e_ref.tobytes()
         for j in range(k):  # the single states of the solver's f calls
-            tau, e_v = dyn.controller(demo_gains, *(a[j] for a in args), tau_ff, tau_limit)
-            tau_ref, e_ref = clip_law(demo_gains, *(a[j] for a in args), tau_ff, tau_limit)
-            assert tau.tobytes() == tau_ref.tobytes() and e_v.tobytes() == e_ref.tobytes()
+            q_m, qd_m, q_d, qd_d, x = (a[j] for a in args)
+            tau, e_v = run_law(demo_gains, q_m, qd_m, q_d, qd_d, x, tau_ff, tau_limit)
+            assert tau.tobytes() == tau_ref[j].tobytes() and e_v.tobytes() == e_ref[j].tobytes()
+
+    def test_batch_rows_give_their_f_call_bits(self, small_design, short_plan, fast_sim,
+                                               monkeypatch):
+        # a batch runs the control law on row 0 and on the rows whose 9
+        # control inputs (q_M, qd_M, integrators) differ from row 0's in
+        # their bits; every row must still give its f call's bits
+        rhs, y0 = captured_rhs(small_design, short_plan, fast_sim, monkeypatch)
+        model = dyn.RobotModel(small_design)
+        n = model.n
+        rng = np.random.default_rng(57)
+        y = y0 + rng.normal(0.0, 1e-3, y0.size)
+        y[n + 1] = 0.0
+        Y = np.repeat(y[None], 12, axis=0)
+        Y[1, 7] += 1e-4  # a non-control column: an elastic coordinate
+        Y[2, 4] += 1e-3  # a non-control column: a link angle
+        Y[3, n + 1] = -0.0  # 0.0 against -0.0 in a motor rate
+        Y[4, n + 2] = np.nan  # a NaN in a motor rate
+        Y[5, 2 * n] = np.nextafter(Y[0, 2 * n], np.inf)  # one ulp in an integrator
+        Y[6:9, n : n + 3] += 5.0  # saturated rows, the last two alike
+        Y[8, 7] -= 1e-4
+        Y[9, 2 * n + 1] = Y[5, 2 * n]  # an integrator moved, in two equal rows
+        Y[10] = Y[9]
+        Y[11, 0] -= 5.0  # saturated the other way
+        gains = fast_sim.gains
+        law = list(zip(gains.kp_pos, gains.kp_vel, gains.ki_vel, model.tau_limit.tolist()))
+        q_des, qd_des, _ = short_plan.sample_floats(0.004)
+        ts, tau_ff = dyn._feedforward_table(model, short_plan,
+                                            short_plan.t_task + fast_sim.t_settle, 2e-3)
+        ff = dyn._row_lookup(ts, tau_ff)(0.004)
+        saturated = [np.abs(dyn.control_law(law, q_des, qd_des, ff, row, n)[0])
+                     == model.tau_limit for row in Y.tolist()]
+        assert np.any(saturated[6:]) and not np.any(saturated[:6])
+        batch = rhs(0.004, Y)
+        for k in range(len(Y)):
+            assert batch[k].tobytes() == rhs(0.004, Y[k]).tobytes(), k
