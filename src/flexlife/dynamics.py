@@ -233,18 +233,16 @@ def _harmonic_row(q2: float, q3: float) -> np.ndarray:
     return np.array([a * b for a in u2 for b in u3])
 
 
-def _distinct(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """(first, source) of the rows (k, w) by their bits: source[i] is the
-    first row with the bits of row i, and first lists the rows that are
-    their own source. A row holding a NaN is its own. Row 0 is compared
-    with all rows at once, since most rows of a Jacobian batch share it."""
-    bits, alone = rows.view(np.int64), np.isnan(rows).any(axis=1)
-    source = np.where((bits == bits[:1]).all(axis=1) & ~alone, 0, np.arange(len(rows)))
-    seen = {}
-    for k in np.flatnonzero(source).tolist():
-        if not alone[k]:
-            source[k] = seen.setdefault(bits[k].tobytes(), k)
-    return np.flatnonzero(source == np.arange(len(rows))).tolist(), source
+def _own(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(own, source) of the rows (k, w) of a batch. own marks the rows that
+    need their own work: row 0 and every row whose bits differ from row
+    0's. The other rows hold row 0's bits, so row 0's results are theirs
+    bit for bit: source[i] is row i's place among the own rows, 0 for
+    them."""
+    bits = rows.view(np.int64)
+    own = (bits != bits[0]).any(axis=1)
+    own[0] = True
+    return own, np.where(own, np.cumsum(own) - 1, 0)
 
 
 def _roty(q: np.ndarray) -> np.ndarray:
@@ -457,20 +455,21 @@ class RobotModel:
         """The table's columns [M | dM/dq2 | dM/dq3 | C | dC/dq2 | dC/dq3] at
         the angle pairs q23 (..., 2).
 
-        A batch reads each distinct pair as its own (1, 25) @ table product,
-        the bits of one state's np.dot (a (k, 25) product would miss them),
-        and copies it in place to the rows that share it.
+        A batch reads row 0's pair and each pair whose bits differ from it
+        (:func:`_own`) as its own (1, 25) @ table product, the bits of one
+        state's np.dot (a (k, 25) product would miss them), in place; the
+        other rows take row 0's read.
         """
         if q23.ndim == 1:
             return np.dot(_harmonic_row(*q23.tolist()), self._table)
         pairs = q23.reshape(-1, 2)
-        first, source = _distinct(pairs)
+        own = _own(pairs)[0]
+        first = np.flatnonzero(own).tolist()
         rows = np.empty((len(pairs), self._table.shape[1]))
-        np.matmul(_harmonics(pairs[first], 1), self._table, out=rows[: len(first), None])
+        np.matmul(_harmonics(pairs[own], 1), self._table, out=rows[: len(first), None])
         for j, k in reversed(list(enumerate(first))):  # read j to row k >= j, last first
             rows[k] = rows[j]
-        for k in np.unique(source[source != np.arange(len(source))]).tolist():
-            rows[source == k] = rows[k]
+        rows[~own] = rows[0]
         return rows.reshape(q23.shape[:-1] + rows.shape[-1:])
 
     def mass_gradients(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -893,9 +892,10 @@ def _mass_solver():
     Every M goes to scipy's LAPACK, bound here once: a Cholesky
     factorisation (dpotrf) as the guard, then an LU solve. A single state,
     which is every f call of the solver, takes dgesv. A batch guards and
-    factors each distinct M once (dgetrf) and solves each row with dgetrs;
-    dgesv is dgetrf followed by dgetrs, so every row of a Jacobian batch
-    gets the bits of the f call at its state.
+    factors (dgetrf) row 0's M and each M whose bits differ from it
+    (:func:`_own`), and solves every row with dgetrs against its factors,
+    row 0's for the rest; dgesv is dgetrf followed by dgetrs, so every row
+    of a Jacobian batch gets the bits of the f call at its state.
     """
     from scipy.linalg.lapack import dgesv, dgetrf, dgetrs, dpotrf
 
@@ -907,12 +907,12 @@ def _mass_solver():
                     return acc
         else:
             Ms, fs = M.reshape(-1, *M.shape[-2:]), f.reshape(-1, f.shape[-1])
-            first, source = _distinct(Ms.reshape(len(Ms), M.shape[-1] ** 2))
-            factors = {k: dgetrf(Ms[k]) for k in first if dpotrf(Ms[k], lower=1)[1] == 0}
-            if len(factors) == len(first) and not any(lu[2] for lu in factors.values()):
+            own, source = _own(Ms.reshape(len(Ms), -1))
+            lus = [dgetrf(M_k) for M_k in Ms[own] if dpotrf(M_k, lower=1)[1] == 0]
+            if len(lus) == own.sum() and not any(lu[2] for lu in lus):
                 acc = np.empty_like(fs)
                 for k, j in enumerate(source.tolist()):
-                    acc[k] = dgetrs(*factors[j][:2], fs[k])[0]
+                    acc[k] = dgetrs(*lus[j][:2], fs[k])[0]
                 return acc.reshape(f.shape)
         raise SimulationError(f"mass matrix not positive definite at t={t:.6f}", t)
 
@@ -1165,17 +1165,13 @@ def simulate(
         M, force = model.mass_and_forces(y[:, : 2 * n])
         out = np.empty_like(y)
         if controlled:
-            # the law runs on row 0 and on each row whose inputs differ from
-            # row 0's in their bits; the other rows take row 0's torques and
-            # rates, which are the bits their own calls would give. U holds
-            # each row's inputs as a state of 3 coordinates: (q_M, qd_M, x)
+            # the law runs on the rows whose inputs _own marks; the others
+            # take row 0's torques and rates. U holds each row's inputs as a
+            # state of 3 coordinates: (q_M, qd_M, x)
             U = y[:, inputs]
-            bits = U.view(np.int64)
-            own = (bits != bits[0]).any(axis=1)
-            own[0] = True
+            own, source = _own(U)
             laws = np.array([control_law(law, q_des, qd_des, tau_ff, u, 3)
-                             for u in U[own].tolist()])
-            laws = laws[np.where(own, np.cumsum(own) - 1, 0)]
+                             for u in U[own].tolist()])[source]
             force[:, :3] += laws[:, 0]
             out[:, 2 * n :] = laws[:, 1]
         out[:, :n] = y[:, n : 2 * n]

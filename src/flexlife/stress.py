@@ -44,11 +44,12 @@ def _face_tangent(y: float, z: float, half: float) -> tuple[float, float]:
 
 
 def material_point(section: CrossSection, xi: float, y: float, z: float) -> MaterialPoint:
-    """Validated wall-midline point with the tangent of its face."""
+    """Validated wall-midline point with the tangent of its face; a NaN or
+    infinite coordinate fails (max(abs(y), abs(z)) drops a NaN z)."""
     half = 0.5 * (section.a - section.t)
     on_wall = abs(max(abs(y), abs(z)) - half) <= _MIDLINE_RTOL * section.a
     inside = max(abs(y), abs(z)) <= half * (1.0 + _MIDLINE_RTOL)
-    if not (on_wall and inside):
+    if not (math.isfinite(y) and math.isfinite(z) and on_wall and inside):
         raise ValueError(
             f"point (y={y}, z={z}) is not on the wall midline (half-width {half:.6g})"
         )

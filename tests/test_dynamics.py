@@ -767,6 +767,44 @@ class TestBatchedPaths:
             for y, f in zip(Y, F):
                 assert fun(t, y).tobytes() == f.tobytes(), t
 
+    @pytest.mark.parametrize("modes", ["small", "demo"])
+    def test_jacobian_batches_share_row_0_work(self, small_design, short_plan, fast_sim, modes,
+                                               monkeypatch):
+        # the sharing on the traffic the solver sends: a Jacobian batch is
+        # the base row, then one row per perturbed component, so the angle
+        # pairs and the mass matrices differ from row 0's only in the rows
+        # that perturb q2 and q3 (rows 5 and 6), and the control inputs in
+        # the 9 rows that perturb q_M, qd_M and the integrators. A batch
+        # layout under which the sharing quietly stops fails here
+        design = small_design if modes == "small" else demo_modes(small_design)
+        n = dyn.RobotModel(design).n
+        calls, batches = [], []
+        real_solver, real_own = dyn.solve_ivp, dyn._own
+
+        def own_spy(rows):
+            own, source = real_own(rows)
+            calls.append((rows.shape, np.flatnonzero(own).tolist()))
+            return own, source
+
+        def solver(fun, *args, **kwargs):
+            def spy(t, y):
+                calls.clear()
+                out = fun(t, y)
+                if y.ndim == 2:
+                    batches.append(list(calls))
+                return out
+
+            return real_solver(spy, *args, **kwargs)
+
+        monkeypatch.setattr(dyn, "_own", own_spy)
+        monkeypatch.setattr(dyn, "solve_ivp", solver)
+        result = dyn.simulate(design, short_plan, fast_sim)
+        assert len(batches) == result.stats["njev"] > 0
+        k = 2 * n + 4  # the base row and the 2n + 3 perturbed ones
+        controls = [0] + [j + 1 for j in (0, 1, 2, n, n + 1, n + 2, 2 * n, 2 * n + 1, 2 * n + 2)]
+        for batch in batches:
+            assert batch == [((k, 2), [0, 5, 6]), ((k, 9), controls), ((k, n * n), [0, 5, 6])]
+
 
 def oracle_forces(model, design, Q, Qd):
     """Every generalised force but the drive torques, term by term from the
@@ -842,15 +880,16 @@ class TestMassAndForces:
         np.testing.assert_array_equal(f, f_b[0])
 
     def test_batch_shares_reads_of_bitwise_equal_angles(self, model):
-        # a batch reads the table once per distinct angle pair: pairs equal
-        # bit for bit share the read, 0.0 and -0.0 do not, nor do two NaN
-        # angles; every row keeps the bits of its one-state call
+        # a batch shares row 0's read with the pairs equal to row 0's bit
+        # for bit; 0.0 and -0.0 differ, and every other pair, NaN or
+        # repeated, is read on its own. Every row keeps the bits of its
+        # one-state call
         nan = np.nan
         pairs = np.array([[0.3, 1.1], [0.3, 1.1], [0.0, 1.1], [-0.0, 1.1], [nan, 1.1],
                           [nan, 1.1], [0.3, 1.1], [0.0, 1.1], [0.3, np.nextafter(1.1, 2.0)]])
-        first, source = dyn._distinct(pairs)
-        assert first == [0, 2, 3, 4, 5, 8]
-        assert source.tolist() == [0, 0, 2, 3, 4, 5, 0, 2, 8]
+        own, source = dyn._own(pairs)
+        assert own.tolist() == [True, False, True, True, True, True, False, True, True]
+        assert source.tolist() == [0, 0, 1, 2, 3, 4, 0, 5, 6]
         rng = np.random.default_rng(44)
         X = rng.normal(0.0, 1.0, (len(pairs), 2 * model.n))
         X[:, 4:6] = pairs
@@ -1184,12 +1223,12 @@ def clip_law(gains, q_motor, qd_motor, q_des, qd_des, integrator, tau_ff, tau_li
 
 class TestRhsFastPaths:
     """The RHS's per-call paths against the numpy calls they replace.
-    The mass solve runs scipy's LAPACK: dgesv for an f call, and dgetrf
-    once per distinct M then dgetrs per row for a Jacobian batch. dgesv is
-    dgetrf followed by dgetrs, so the f call and every Jacobian row give
-    the same bits (tolerance 0). Against numpy's solve, which another
-    LAPACK build may carry, the solve is held to 1e-13 of each state's
-    largest acceleration. The feedforward lookup and the control law do
+    The mass solve runs scipy's LAPACK: dgesv for an f call, and for a
+    Jacobian batch dgetrf on row 0's M and on each M with other bits, then
+    dgetrs per row. dgesv is dgetrf followed by dgetrs, so the f call and
+    every Jacobian row give the same bits (tolerance 0). Against numpy's
+    solve, which another LAPACK build may carry, the solve is held to
+    1e-13 of each state's largest acceleration. The feedforward lookup and the control law do
     the same IEEE operations as their numpy references and must give the
     same bits. One Python-float control_law serves the f call and every
     Jacobian row; a batch runs it on row 0 and on each row whose control
@@ -1228,29 +1267,32 @@ class TestRhsFastPaths:
         assert info.value.t_failure == 0.125
 
     def test_batch_solve_gives_one_state_bits(self):
-        # a Jacobian batch shares one M across most of its rows: each
-        # distinct M is factored once (dgetrf) and each row solved with
-        # dgetrs, which must give the single state's dgesv bits, tolerance
-        # 0 (numpy's batched solve, used before, misses them on 51 of these
-        # 299 rows)
+        # a Jacobian batch shares one M across most of its rows: row 0's M
+        # and each M with other bits are factored (dgetrf) and each row
+        # solved with dgetrs, which must give the single state's dgesv bits,
+        # tolerance 0 (numpy's batched solve, used before, misses them on 51
+        # of these 299 rows). In the random order the M shared by 100 rows
+        # lands at row 0 only by chance; in the second order it is row 0's
         rng = np.random.default_rng(55)
         A = rng.normal(0.0, 1.0, (200, 16, 16))
         Ms = A @ np.swapaxes(A, -1, -2) + 16.0 * np.eye(16)
-        order = rng.permutation(299)
-        M = np.concatenate((np.repeat(Ms[:1], 100, axis=0), Ms[1:]))[order]
+        shuffled = rng.permutation(299)
         f = rng.normal(0.0, 1.0, (299, 16))
         solve = dyn._mass_solver()
-        acc = solve(0.5, M, f)
-        assert acc.shape == f.shape
-        for k in range(len(M)):
-            assert solve(0.5, M[k], f[k]).tobytes() == acc[k].tobytes(), k
-        grid = solve(0.5, M.reshape(13, 23, 16, 16), f.reshape(13, 23, 16))
-        assert grid.tobytes() == acc.tobytes()
-        # the shared M turned indefinite, the rows with their own M not
-        M[order < 100] = -Ms[0]
-        with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
-            solve(0.5, M, f)
-        assert info.value.t_failure == 0.5
+        for order in (shuffled, np.arange(299)):
+            M = np.concatenate((np.repeat(Ms[:1], 100, axis=0), Ms[1:]))[order]
+            acc = solve(0.5, M, f)
+            assert acc.shape == f.shape
+            for k in range(len(M)):
+                assert solve(0.5, M[k], f[k]).tobytes() == acc[k].tobytes(), k
+            grid = solve(0.5, M.reshape(13, 23, 16, 16), f.reshape(13, 23, 16))
+            assert grid.tobytes() == acc.tobytes()
+            # the shared M turned indefinite, the rows with their own M not
+            M[order < 100] = -Ms[0]
+            with pytest.raises(dyn.SimulationError, match="not positive definite") as info:
+                solve(0.5, M, f)
+            assert info.value.t_failure == 0.5
+        assert dyn._own(M.reshape(299, -1))[0].sum() == 200  # 99 rows shared row 0's M
 
     def test_one_state_results_are_the_callers(self, small_design, short_plan, fast_sim,
                                                monkeypatch):

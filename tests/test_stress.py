@@ -30,6 +30,15 @@ class TestMaterialPoint:
         with pytest.raises(ValueError):
             st.material_point(section, 0.0, 0.0, section.a)
 
+    @pytest.mark.parametrize("y, z", [(1.0, np.nan), (np.nan, 1.0), (1.0, np.inf),
+                                      (-np.inf, 0.0), (np.nan, np.nan)])
+    def test_non_finite_coordinates_rejected(self, section, y, z):
+        # 1.0 stands for the midline half-width: (half, nan) passed the
+        # midline test, since max(half, nan) is half
+        half = 0.5 * (section.a - section.t)
+        with pytest.raises(ValueError, match="not on the wall midline"):
+            st.material_point(section, 0.0, y * half, z * half)
+
     def test_face_tangents_counterclockwise(self, section):
         half = 0.5 * (section.a - section.t)
         assert st.material_point(section, 0.0, half, 0.0).tangent == (0.0, 1.0)
