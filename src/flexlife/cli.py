@@ -168,7 +168,7 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
 def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
     """Rainflow matrix of a scalar stress history CSV (columns t, sigma)."""
     try:
-        data = np.genfromtxt(series_csv, delimiter=",", names=True)
+        data = np.genfromtxt(series_csv, delimiter=",", names=True, encoding="utf-8-sig")
         names = data.dtype.names or ()
         if "t" not in names or "sigma" not in names:
             raise ConfigError("series CSV needs columns 't' and 'sigma'")
@@ -311,7 +311,7 @@ def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
 def cmd_pareto(points_csv, out):
     """Standalone front extraction from a CSV with columns config, jm, jvib."""
     try:
-        data = np.genfromtxt(points_csv, delimiter=",", names=True)
+        data = np.genfromtxt(points_csv, delimiter=",", names=True, encoding="utf-8-sig")
         names = data.dtype.names or ()
         for col in ("config", "jm", "jvib"):
             if col not in names:

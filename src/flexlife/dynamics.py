@@ -32,19 +32,24 @@ Everything is assembled in the frame co-rotating with the base joint; the
 mass matrix is independent of q1 (cyclic coordinate) and gravity points
 along the rotation axis, so nothing is lost.
 
-scipy is imported inside the three functions that call it, ``_vode``,
-``_mass_solver`` and ``linearized_periods``, so only a process that
-integrates loads it.
+Of scipy, only two compiled modules are used: VODE (``integrate._vode``)
+and LAPACK (``linalg._flapack``). ``_scipy_extension`` loads them on first
+use, after the top-level ``scipy`` package but without the package inits
+of ``scipy.integrate`` and ``scipy.linalg``, which would bring in some 600
+further modules and about 50 MB of memory. So only a process that
+integrates loads scipy, and it loads little of it.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -825,14 +830,51 @@ def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarr
     )
 
 
+@functools.cache
+def _scipy_extension(name: str):
+    """The compiled module ``scipy.<name>``, such as ``integrate._vode``,
+    without the init of the package it sits in.
+
+    ``import scipy`` runs the top-level package only, which sets up the
+    libraries the wheel bundles. A module something has imported already is
+    taken from sys.modules; any other is loaded from its file under
+    scipy's package directory, which runs no package init; a later
+    ``import scipy.integrate`` still runs its own. ImportError if neither
+    works.
+    """
+    import scipy
+
+    full = "scipy." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    package = name.rpartition(".")[0].split(".")
+    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    for root in scipy.__path__:
+        finder = importlib.machinery.FileFinder(os.path.join(root, *package), extensions)
+        spec = finder.find_spec(full)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"cannot load {full}: no extension module under {scipy.__path__}", name=full)
+
+
 def linearized_periods(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Vibration periods of the (q_L, q_e) subsystem with motors held,
-    from the generalized eigenproblem of the potential Hessian."""
-    from scipy.linalg import eigh
+    from the generalized eigenproblem of the potential Hessian.
 
+    LAPACK's dsygvd solves it as ``scipy.linalg.eigh(K, M,
+    eigvals_only=True)`` does, and fails as loudly: ValueError for a
+    non-finite K or M, LinAlgError when dsygvd fails (info > n: M is not
+    positive definite).
+    """
     K = model.potential_hessian(q)[3:, 3:]
     M = model.mass_matrix(q)[3:, 3:]
-    w2 = eigh(K, M, eigvals_only=True)
+    if not (np.isfinite(K).all() and np.isfinite(M).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    w2, _, info = _scipy_extension("linalg._flapack").dsygvd(K, M, itype=1, jobz="N", uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eigenproblem failed: dsygvd info {info}")
     w2 = w2[w2 > 1e-9]
     if w2.size == 0:
         raise SimulationError("no vibration mode: the potential Hessian has no positive eigenvalue")
@@ -889,7 +931,7 @@ def _mass_solver():
     f (n,), or of a batch, M (..., n, n) and f (..., n). SimulationError
     with t_failure = t if M is not positive definite.
 
-    Every M goes to scipy's LAPACK, bound here once: a Cholesky
+    Every M goes to LAPACK, bound here once: a Cholesky
     factorisation (dpotrf) as the guard, then an LU solve. A single state,
     which is every f call of the solver, takes dgesv. A batch guards and
     factors (dgetrf) row 0's M and each M whose bits differ from it
@@ -897,7 +939,8 @@ def _mass_solver():
     row 0's for the rest; dgesv is dgetrf followed by dgetrs, so every row
     of a Jacobian batch gets the bits of the f call at its state.
     """
-    from scipy.linalg.lapack import dgesv, dgetrf, dgetrs, dpotrf
+    lapack = _scipy_extension("linalg._flapack")
+    dgesv, dgetrf, dgetrs, dpotrf = lapack.dgesv, lapack.dgetrf, lapack.dgetrs, lapack.dpotrf
 
     def solve(t: float, M: np.ndarray, f: np.ndarray) -> np.ndarray:
         if M.ndim == 2:
@@ -948,14 +991,21 @@ _STEP_WINDOW = 1e-3
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
-def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: int):
-    """scipy's VODE BDF for y' = f(t, y) with the user Jacobian jac, started
-    at (t0, y0), around two faults of scipy 1.17.1's wrapper.
+class _Vode:
+    """VODE's BDF with a user Jacobian (method flag mf = 21) for
+    y' = f(t, y), started at (t0, y0).
 
-    Returns the ``ode`` object, for its status and counters, and
-    ``integrate(t)``, which returns y(t) or raises what a callback raised.
-    The wrapper warns of a failed call; callers ignore that warning with
-    ``_vode_warnings_ignored`` and read r.successful().
+    ``integrate(t)`` steps on to t and returns y(t), or raises what a
+    callback raised. After each call ``istate`` is 2 on success and VODE's
+    negative return code on failure (call on only while it is positive),
+    ``t`` is the time reached and ``iwork`` holds VODE's counters.
+
+    ``dvode`` gets the arguments scipy 1.17.1's ``scipy.integrate.ode``
+    passes it: work arrays of the lengths VODE documents for mf = 21, the
+    order, nsteps and mxhnil 2 in iwork (order 5, BDF's maximum; ``ode``
+    passes 12, which VODE lowers to 5), VODE's state of 51 doubles and 41
+    ints between calls, and a private copy of y0, which VODE overwrites.
+    Around two faults of VODE:
 
     - VODE ignores the last diagonal entry of the Jacobian, so a stiff last
       component does not converge. The state carries one extra trailing
@@ -968,47 +1018,49 @@ def _vode(f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float, nsteps: i
       on and fails later with an unrelated ValueError. The first one is
       kept, VODE gets NaN until it gives up, and integrate re-raises it.
     """
-    from scipy.integrate import ode
 
-    n = y0.size
-    failure = []
+    def __init__(self, f, jac, y0: np.ndarray, t0: float, rtol: float, atol: float,
+                 nsteps: int):
+        n = y0.size
+        failure = []
 
-    def extended(callback, shape):
-        real = (slice(n),) * len(shape)
-        out = np.zeros(shape)  # VODE copies what a callback returns
+        def extended(callback, shape):
+            real = (slice(n),) * len(shape)
+            out = np.zeros(shape)  # VODE copies what a callback returns
 
-        def call(t, y):
-            if not failure:
-                try:
-                    out[real] = callback(t, y[:n])
-                    return out
-                except BaseException as exc:
-                    failure.append(exc)
-            return np.full(shape, np.nan)
+            def call(t, y):
+                if not failure:
+                    try:
+                        out[real] = callback(t, y[:n])
+                        return out
+                    except BaseException as exc:
+                        failure.append(exc)
+                return np.full(shape, np.nan)
 
-        return call
+            return call
 
-    r = ode(extended(f, (n + 1,)), extended(jac, (n + 1, n + 1)))
-    scale = math.sqrt(n / (n + 1))
-    r.set_integrator("vode", method="bdf", rtol=rtol * scale, atol=atol * scale, nsteps=nsteps)
-    r.set_initial_value(np.append(y0, 0.0), t0)
+        m = n + 1
+        scale = math.sqrt(n / m)
+        self.y = np.append(y0, 0.0)
+        self.t = float(t0)
+        self.istate = 1
+        self.iwork = np.zeros(30 + m, dtype=np.int32)
+        self.iwork[4:7] = (5, nsteps, 2)
+        self._n, self._failure = n, failure
+        self._dvode = _scipy_extension("integrate._vode").dvode
+        self._callbacks = (extended(f, (m,)), extended(jac, (m, m)))
+        self._tolerances = (rtol * scale, atol * scale)
+        self._work = (np.zeros(22 + 9 * m + 2 * m * m), self.iwork, 21, (), (),
+                      np.zeros(51), np.zeros(41, dtype=np.int32))
 
-    def integrate(t: float) -> np.ndarray:
-        y = r.integrate(t)
-        if failure:
-            raise failure[0]
-        return y[:n]
-
-    return r, integrate
-
-
-@contextlib.contextmanager
-def _vode_warnings_ignored():
-    """Ignore the wrapper's warning of a failed VODE call; r.successful()
-    tells."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "vode: ", UserWarning)
-        yield
+    def integrate(self, t: float) -> np.ndarray:
+        # itask 1: step past t and interpolate back to it
+        self.y, self.t, self.istate = self._dvode(
+            *self._callbacks, self.y, self.t, t, *self._tolerances, 1, self.istate, *self._work
+        )
+        if self._failure:
+            raise self._failure[0]
+        return self.y[: self._n]
 
 
 # stiff, non-symmetric linear system of the layout probe; from y(0) = (1, 1)
@@ -1019,8 +1071,7 @@ _PROBE_Y1 = math.exp(-1.0) * np.array([1e4 / 9999.0, 1.0])
 
 @functools.cache
 def _jacobian_transposed() -> bool:
-    """Whether scipy's VODE reads a user Jacobian transposed (it does in
-    scipy 1.17.1).
+    """Whether VODE reads a user Jacobian transposed (scipy 1.17.1's does).
 
     Integrates the probe system over [0, 1] with each layout and keeps the
     first that reaches the exact solution within a few hundred steps;
@@ -1029,13 +1080,11 @@ def _jacobian_transposed() -> bool:
     """
     for transposed in (False, True):
         J = _PROBE_A.T if transposed else _PROBE_A
-        r, integrate = _vode(lambda t, y: _PROBE_A @ y, lambda t, y: J, np.ones(2), 0.0,
-                             1e-8, 1e-10, 500)
-        with _vode_warnings_ignored():
-            y = integrate(1.0)
-        if r.successful() and np.abs(y - _PROBE_Y1).max() < 1e-6:
+        vode = _Vode(lambda t, y: _PROBE_A @ y, lambda t, y: J, np.ones(2), 0.0, 1e-8, 1e-10, 500)
+        y = vode.integrate(1.0)
+        if vode.istate > 0 and np.abs(y - _PROBE_Y1).max() < 1e-6:
             return transposed
-    raise RuntimeError("scipy's VODE BDF solves the probe system with neither Jacobian layout")
+    raise RuntimeError("VODE BDF solves the probe system with neither Jacobian layout")
 
 
 def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
@@ -1066,29 +1115,28 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
         JT = (F[1:] - F[:1]) / h[:, None]
         return JT if transposed else JT.T
 
-    r, integrate = _vode(fun, jac, y0, t0, rtol, atol, _MAX_STEPS)
+    vode = _Vode(fun, jac, y0, t0, rtol, atol, _MAX_STEPS)
     # VODE's step limit holds per call. It steps past each stop and
     # interpolates back, so extra stops leave its steps as they are; only
     # the first stop also sets the initial step size
     stops = np.union1d(t_eval, np.arange(t0, t_eval[-1], _STEP_WINDOW))
     ys = np.empty((y0.size, t_eval.size))
     done = 0
-    with _vode_warnings_ignored():
-        for t in stops:
-            y = y0 if t == t0 else integrate(t)
-            if not r.successful():
-                break
-            if t == t_eval[done]:
-                ys[:, done] = y
-                done += 1
+    for t in stops:
+        y = y0 if t == t0 else vode.integrate(t)
+        if vode.istate < 0:
+            break
+        if t == t_eval[done]:
+            ys[:, done] = y
+            done += 1
     success = done == t_eval.size
-    iwork = r._integrator.iwork
+    iwork = vode.iwork
     return OdeResult(
         t=t_eval[:done],
         y=ys[:, :done],
         success=success,
         message="reached the end of t_eval" if success
-        else f"VODE return code {r.get_return_code()} at t={r.t:.6g}",
+        else f"VODE return code {vode.istate} at t={vode.t:.6g}",
         nfev=int(iwork[_IWORK_NFE]),
         njev=int(iwork[_IWORK_NJE]),
         nlu=int(iwork[_IWORK_NLU]),
@@ -1145,14 +1193,19 @@ def simulate(
 
     solve_mass = _mass_solver()
     forces = model.one_state_forces()
+    reference = {}  # t -> (q_des, qd_des, tau_ff), for the last t only
 
     def rhs(t, y):
         # y is one state (N,), every f call of the solver, or states as rows
         # (k, N) for its Jacobian; both run control_law on one state at a
-        # time, with the reference sampled once per call
+        # time, with the reference sampled once per t: VODE often calls f
+        # again, or its Jacobian, at the t of the call before
         if controlled:
-            q_des, qd_des, _ = plan.sample_floats(t)
-            tau_ff = None if feedforward is None else feedforward(t)
+            if t not in reference:
+                reference.clear()
+                q_des, qd_des, _ = plan.sample_floats(t)
+                reference[t] = q_des, qd_des, None if feedforward is None else feedforward(t)
+            q_des, qd_des, tau_ff = reference[t]
         if y.ndim == 1:
             values = y.tolist()
             M, force = forces(y, values)

@@ -154,8 +154,9 @@ def write_stress_csv(path, history: StressHistory) -> None:
 
 def read_stress_csv(path) -> StressHistory:
     """Stress history from a CSV whose header names the columns t,
-    sigma_xx and sigma_xy, in any order, among any others."""
-    with open(path) as fh:
+    sigma_xx and sigma_xy, in any order, among any others. A leading UTF-8
+    byte-order mark, as spreadsheet programs write, is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         header = [name.strip() for name in fh.readline().split(",")]
         columns = []
         for col in ("t", "sigma_xx", "sigma_xy"):

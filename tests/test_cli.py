@@ -194,6 +194,22 @@ class TestFatigueCommand:
         assert report["finite_life"] is True
         assert report["t_life_seconds"] * report["d_max"] == pytest.approx(2.0, rel=1e-9)
 
+    def test_byte_order_mark_read_as_without(self, runner, tmp_path):
+        # "CSV UTF-8" from a spreadsheet starts with U+FEFF
+        text = "t,sigma_xx,sigma_xy\n0.0,1e8,0.0\n0.1,-1e8,2e7\n0.2,1e8,0.0\n"
+        reports = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            stress = tmp_path / f"{name}.csv"
+            stress.write_text(prefix + text, encoding="utf-8")
+            result = runner.invoke(
+                main,
+                ["fatigue", str(stress), str(Path(DEMO_CONFIG).parent / "fatigue_material.json"),
+                 "--angles", "5", "--out-dir", str(tmp_path / name)],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append((tmp_path / name / "damage_report.json").read_text())
+        assert reports[0] == reports[1]
+
     def test_report_keys_leave_out_the_run_record(self, runner, tmp_path):
         stress = tmp_path / "stress.csv"
         stress.write_text("t,sigma_xx,sigma_xy\n0.0,1e8,0.0\n0.1,-1e8,0.0\n0.2,1e8,0.0\n")
@@ -298,6 +314,18 @@ class TestRainflowCommand:
         matrix = np.genfromtxt(tmp_path / "rainflow_matrix.csv", delimiter=",", names=True)
         assert matrix["count"].sum() == pytest.approx(4.0)
 
+    def test_byte_order_mark_read_as_without(self, runner, tmp_path):
+        text = "t,sigma\n0,-2.0\n1,1.0\n2,-3.0\n3,5.0\n4,-1.0\n"
+        matrices = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            series = tmp_path / f"{name}.csv"
+            series.write_text(prefix + text, encoding="utf-8")
+            result = runner.invoke(main, ["rainflow", str(series),
+                                          "--out-dir", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            matrices.append((tmp_path / name / "rainflow_matrix.csv").read_bytes())
+        assert matrices[0] == matrices[1]
+
     def test_blank_sample_exit_2(self, runner, tmp_path):
         series = tmp_path / "series.csv"
         series.write_text("t,sigma\n0,-2.0\n1,1.0\n2,\n3,5.0\n4,-1.0\n")
@@ -368,6 +396,15 @@ class TestParetoCommand:
         result = runner.invoke(main, ["pareto", str(csv_path), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["front"] == [1, 2, 3, 4, 5, 6]
+
+    def test_byte_order_mark_read_as_without(self, runner, tmp_path):
+        csv_path = tmp_path / "points.csv"
+        csv_path.write_text("\ufeffconfig,jm,jvib\n1,0.0,2.0\n2,1.0,1.0\n3,2.0,3.0\n",
+                            encoding="utf-8")
+        out = tmp_path / "front.json"
+        result = runner.invoke(main, ["pareto", str(csv_path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["front"] == [1, 2]
 
     @pytest.mark.parametrize(
         "ids, message",

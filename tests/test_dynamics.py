@@ -1,13 +1,15 @@
 import dataclasses
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.integrate import ode, solve_ivp
+from scipy.linalg import eigh, expm
 
 from flexlife import dynamics as dyn
-from flexlife.trajectory import JointLimits, plan_joint_move
+from flexlife.trajectory import JointLimits, TrajectoryPlan, plan_joint_move
 
 
 def no_damping(design):
@@ -575,6 +577,33 @@ class TestSimulate:
         assert calls and all(calls)
         assert not hasattr(res, "tau")
 
+    def test_reference_sampled_once_per_t(self, small_design, short_plan, fast_sim,
+                                          monkeypatch):
+        # VODE often calls f, or its Jacobian, again at the t of the call
+        # before; the RHS samples the reference only when t changes
+        rhs_ts, sampled_ts = [], []
+        real_solver, real_sample = dyn.solve_ivp, TrajectoryPlan.sample_floats
+
+        def solver(fun, *args, **kwargs):
+            sampled_ts.clear()  # the feedforward table's samples came before
+
+            def spy(t, y):
+                rhs_ts.append(t)
+                return fun(t, y)
+
+            return real_solver(spy, *args, **kwargs)
+
+        def sampling(plan, t):
+            sampled_ts.append(t)
+            return real_sample(plan, t)
+
+        monkeypatch.setattr(dyn, "solve_ivp", solver)
+        monkeypatch.setattr(TrajectoryPlan, "sample_floats", sampling)
+        dyn.simulate(small_design, short_plan, fast_sim)
+        changes = [t for k, t in enumerate(rhs_ts) if k == 0 or t != rhs_ts[k - 1]]
+        assert sampled_ts == changes
+        assert len(changes) < len(rhs_ts)
+
     def test_tracking_reaches_target(self, small_design, demo_gains, short_plan, fast_sim):
         res = dyn.simulate(small_design, short_plan, fast_sim)
         np.testing.assert_allclose(
@@ -997,10 +1026,9 @@ class TestVodeDriver:
         results = []
         for layout in (transposed, not transposed):
             J = A.T if layout else A
-            r, integrate = dyn._vode(linear(A), lambda t, y: J, np.ones(2), 0.0, 1e-8, 1e-10, 500)
-            with dyn._vode_warnings_ignored():
-                y = integrate(1.0)
-            results.append(r.successful() and np.abs(y - dyn._PROBE_Y1).max() < 1e-6)
+            vode = dyn._Vode(linear(A), lambda t, y: J, np.ones(2), 0.0, 1e-8, 1e-10, 500)
+            y = vode.integrate(1.0)
+            results.append(vode.istate > 0 and np.abs(y - dyn._PROBE_Y1).max() < 1e-6)
         assert results == [True, False]
 
     def test_no_vode_warning_escapes(self, small_design, short_plan, fast_sim):
@@ -1149,6 +1177,237 @@ class TestVodeDriver:
         scale = max(1.0, np.abs(oracle.q[-1]).max())
         assert np.abs(vode.q[-1] - oracle.q[-1]).max() / scale < bound
         np.testing.assert_allclose(outputs(vode), outputs(oracle), rtol=bound, atol=0.0)
+
+
+
+class OdeVode:
+    """The VODE driver as it was through ``scipy.integrate.ode``, with
+    ``dyn._Vode``'s interface: the oracle of the direct ``dvode`` call."""
+
+    def __init__(self, f, jac, y0, t0, rtol, atol, nsteps):
+        n = y0.size
+        failure = []
+
+        def extended(callback, shape):
+            real = (slice(n),) * len(shape)
+            out = np.zeros(shape)
+
+            def call(t, y):
+                if not failure:
+                    try:
+                        out[real] = callback(t, y[:n])
+                        return out
+                    except BaseException as exc:
+                        failure.append(exc)
+                return np.full(shape, np.nan)
+
+            return call
+
+        r = ode(extended(f, (n + 1,)), extended(jac, (n + 1, n + 1)))
+        scale = math.sqrt(n / (n + 1))
+        r.set_integrator("vode", method="bdf", rtol=rtol * scale, atol=atol * scale, nsteps=nsteps)
+        r.set_initial_value(np.append(y0, 0.0), t0)
+        self._r, self._n, self._failure = r, n, failure
+        self.iwork = r._integrator.iwork
+
+    @property
+    def istate(self):
+        code = self._r.get_return_code()  # None before the first call
+        return 1 if code is None else code
+
+    @property
+    def t(self):
+        return self._r.t
+
+    def integrate(self, t):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "vode: ", UserWarning)
+            y = self._r.integrate(t)
+        if self._failure:
+            raise self._failure[0]
+        return y[: self._n]
+
+
+def recording(driver, log):
+    """driver, logging (t asked, t reached, istate, y bytes) of every
+    integrate call that returns, with the driver itself in log[0]."""
+
+    class Recording(driver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            log.insert(0, self)
+
+        def integrate(self, t):
+            y = super().integrate(t)
+            log.append((float(t), self.t, self.istate, y.tobytes()))
+            return y
+
+    return Recording
+
+
+def run_both(monkeypatch, run):
+    """run() with the direct driver and with the ode oracle: per driver,
+    (its result or the exception it raised, its stops, its end state)."""
+    dyn._jacobian_transposed()  # its probe runs once, before either run
+    outcomes = []
+    for driver in (dyn._Vode, OdeVode):
+        log = []
+        monkeypatch.setattr(dyn, "_Vode", recording(driver, log))
+        try:
+            result = run()
+        except Exception as exc:  # the tests compare it
+            result = exc
+        # iwork[4] is the maximum order asked for: ode asks 12, which VODE
+        # caps at BDF's 5, and the direct call asks 5
+        iwork = log[0].iwork.tolist()
+        iwork[4] = min(iwork[4], 5)
+        outcomes.append((result, log[1:], (log[0].istate, log[0].t, iwork)))
+    return outcomes
+
+
+def assert_same_solve(direct, oracle):
+    for field in ("t", "y"):
+        assert getattr(direct, field).tobytes() == getattr(oracle, field).tobytes()
+    for field in ("success", "message", "nfev", "njev", "nlu", "nst"):
+        assert getattr(direct, field) == getattr(oracle, field), field
+
+
+class TestDirectVodeCall:
+    """dyn._Vode calls dvode with the arguments scipy.integrate.ode passed
+    it, so it must give the oracle's bits, counters and failures at
+    tolerance 0."""
+
+    @pytest.mark.parametrize("name", sorted(STIFF_SYSTEMS))
+    def test_stiff_systems(self, name, monkeypatch):
+        A = STIFF_SYSTEMS[name]
+        (direct, stops, end), (oracle, oracle_stops, oracle_end) = run_both(
+            monkeypatch,
+            lambda: dyn.solve_ivp(linear(A), (0.0, 1.0), np.ones(A.shape[0]),
+                                  t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-8, atol=1e-10),
+        )
+        assert direct.success and len(stops) >= 10
+        assert_same_solve(direct, oracle)
+        assert stops == oracle_stops and end == oracle_end
+
+    def test_simulate(self, small_design, short_plan, fast_sim, monkeypatch):
+        (direct, stops, end), (oracle, oracle_stops, oracle_end) = run_both(
+            monkeypatch, lambda: dyn.simulate(small_design, short_plan, fast_sim)
+        )
+        assert stops == oracle_stops and end == oracle_end
+        assert direct.q.tobytes() == oracle.q.tobytes()
+        for key in ("nfev", "njev", "nlu", "steps"):
+            assert direct.stats[key] == oracle.stats[key], key
+
+    def test_blow_up(self, monkeypatch):
+        # y' = y^2 blows up at t = 1: VODE gives up with return code -1
+        (direct, stops, end), (oracle, oracle_stops, oracle_end) = run_both(
+            monkeypatch,
+            lambda: dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0],
+                                  t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-6, atol=1e-9),
+        )
+        assert not direct.success and "return code -1" in direct.message
+        assert_same_solve(direct, oracle)
+        assert stops == oracle_stops and end == oracle_end
+
+    def test_callback_raising_mid_run(self, monkeypatch):
+        A = STIFF_SYSTEMS["3x3"]
+
+        def fun(t, y):
+            if t > 0.35:
+                raise _Captured(t)
+            return y @ A.T
+
+        (direct, stops, end), (oracle, oracle_stops, oracle_end) = run_both(
+            monkeypatch,
+            lambda: dyn.solve_ivp(fun, (0.0, 1.0), np.ones(3),
+                                  t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-8, atol=1e-10),
+        )
+        assert isinstance(direct, _Captured) and isinstance(oracle, _Captured)
+        assert direct.args == oracle.args
+        assert len(stops) >= 3 and stops == oracle_stops
+        assert end[0] < 0 and end == oracle_end
+
+
+
+class TestScipyExtension:
+    def test_loads_from_file_without_package(self, monkeypatch):
+        # the package init is not run: scipy.integrate stays out of
+        # sys.modules when it was not there
+        import scipy.integrate._vode as imported
+
+        monkeypatch.delitem(sys.modules, "scipy.integrate._vode")
+        monkeypatch.delitem(sys.modules, "scipy.integrate")
+        module = dyn._scipy_extension.__wrapped__("integrate._vode")
+        assert module is not imported and module.__file__ == imported.__file__
+        assert callable(module.dvode) and "scipy.integrate" not in sys.modules
+
+    def test_takes_imported_module(self):
+        import scipy.linalg._flapack as imported
+
+        assert dyn._scipy_extension.__wrapped__("linalg._flapack") is imported
+
+    def test_missing_module_named(self):
+        with pytest.raises(ImportError, match="scipy.integrate._missing") as info:
+            dyn._scipy_extension.__wrapped__("integrate._missing")
+        assert info.value.name == "scipy.integrate._missing"
+
+
+class PairModel:
+    """A model stub whose (q_L, q_e) block of the potential Hessian and
+    the mass matrix is the pair (K, M)."""
+
+    def __init__(self, K, M):
+        self._K, self._M = (np.pad(A, ((3, 0), (3, 0))) for A in (K, M))
+
+    def potential_hessian(self, q):
+        return self._K.copy()
+
+    def mass_matrix(self, q):
+        return self._M.copy()
+
+
+def eigh_periods(model, q):
+    """linearized_periods as it was through scipy.linalg.eigh: the oracle
+    of the direct dsygvd call."""
+    w2 = eigh(model.potential_hessian(q)[3:, 3:], model.mass_matrix(q)[3:, 3:],
+              eigvals_only=True)
+    return 2.0 * np.pi / np.sqrt(w2[w2 > 1e-9])
+
+
+class TestLinearizedPeriodsLapack:
+    @pytest.mark.parametrize("modes", ["small", "demo"])
+    def test_designs_match_eigh(self, small_design, modes):
+        design = small_design if modes == "small" else demo_modes(small_design)
+        model = dyn.RobotModel(design)
+        for q_motor in ([0.0, 0.5, -0.8], [0.3, -0.2, 1.4]):
+            q, _ = dyn.static_equilibrium(model, np.array(q_motor))
+            periods = dyn.linearized_periods(model, q)
+            assert periods.size == model.n - 3
+            assert periods.tobytes() == eigh_periods(model, q).tobytes()
+
+    def test_random_pairs_match_eigh(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            A, B = rng.normal(size=(2, n, n))
+            model = PairModel(A @ A.T + 0.1 * np.eye(n), B @ B.T + 0.1 * np.eye(n))
+            periods = dyn.linearized_periods(model, None)
+            assert periods.tobytes() == eigh_periods(model, None).tobytes()
+
+    @pytest.mark.parametrize("fault", ["nan_stiffness", "indefinite_mass"])
+    def test_failures_raise_as_eigh(self, fault):
+        K, M = np.diag([2.0, 3.0, 5.0]), np.eye(3)
+        if fault == "nan_stiffness":
+            K[1, 2] = K[2, 1] = np.nan
+            expected = ValueError
+        else:
+            M[1, 1] = -1.0
+            expected = np.linalg.LinAlgError
+        model = PairModel(K, M)
+        with pytest.raises(expected):
+            eigh_periods(model, None)
+        with pytest.raises(expected):
+            dyn.linearized_periods(model, None)
 
 
 class TestMassMatrixGuard:
