@@ -132,9 +132,9 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
     """Critical-plane damage and lifetime from a stress-history CSV."""
     try:
         history = read_stress_csv(stress_csv)
-        with open(material_json) as fh:
+        with open(material_json, encoding="utf-8-sig") as fh:
             material = parse_fatigue_material(json.load(fh), ctx="material")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and decoding errors
         _fail(EXIT_INPUT, str(exc))
     if t_task is None:
         t_task = float(history.times[-1] - history.times[0])

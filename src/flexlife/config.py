@@ -217,13 +217,13 @@ def _trajectory(value, path: str) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a run-configuration JSON file."""
+    """Parse and validate a run-configuration JSON file (UTF-8, BOM allowed)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
         return _build_config(raw)

@@ -186,8 +186,8 @@ def _stress_point(design: RobotDesign, index: int):
     link = design.links[index]
     section = section_properties(design.edge_length, link.wall_thickness)
     if link.stress_y is None and link.stress_z is None:
-        return default_stress_point(section, link.xi_crit)
-    return material_point(section, link.xi_crit, link.stress_y or 0.0, link.stress_z or 0.0)
+        return default_stress_point(section)
+    return material_point(section, link.stress_y or 0.0, link.stress_z or 0.0)
 
 
 def link_stress_histories(

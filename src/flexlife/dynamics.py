@@ -884,13 +884,16 @@ def linearized_periods(model: RobotModel, q: np.ndarray) -> np.ndarray:
 def _feedforward_table(
     model: RobotModel, plan: TrajectoryPlan, t_end: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid-body inverse-dynamics torque tabulated over the run.
+    """Rigid-body inverse-dynamics torque on the knots k dt of the run,
+    up to the first knot after t_task: the plan holds its final pose from
+    there on, as the lookup holds the last row.
 
     The rigid reduction locks the gears (q_M = q_L = q_d, q_e = 0); its
     3x3 dynamics follow from the full mass matrix through the selector
     S = [I, I, 0]^T.
     """
     ts = np.arange(0.0, t_end + dt, dt)
+    ts = ts[: np.searchsorted(ts, plan.t_task, side="right") + 1]
     qdes, qddes, qdddes = plan.sample_grid(ts)
     S = np.zeros((model.n, 3))
     S[:3] = np.eye(3)
@@ -1005,7 +1008,8 @@ class _Vode:
     order, nsteps and mxhnil 2 in iwork (order 5, BDF's maximum; ``ode``
     passes 12, which VODE lowers to 5), VODE's state of 51 doubles and 41
     ints between calls, and a private copy of y0, which VODE overwrites.
-    Around two faults of VODE:
+    ``dvode`` reads the array jac returns transposed, row j holding
+    df/dy_j, and jac returns that layout. Around two faults of VODE:
 
     - VODE ignores the last diagonal entry of the Jacobian, so a stiff last
       component does not converge. The state carries one extra trailing
@@ -1063,30 +1067,6 @@ class _Vode:
         return self.y[: self._n]
 
 
-# stiff, non-symmetric linear system of the layout probe; from y(0) = (1, 1)
-# its exact y(1) (the e^(-1e4 t) mode has died out)
-_PROBE_A = np.array([[-1e4, 1e4], [0.0, -1.0]])
-_PROBE_Y1 = math.exp(-1.0) * np.array([1e4 / 9999.0, 1.0])
-
-
-@functools.cache
-def _jacobian_transposed() -> bool:
-    """Whether VODE reads a user Jacobian transposed (scipy 1.17.1's does).
-
-    Integrates the probe system over [0, 1] with each layout and keeps the
-    first that reaches the exact solution within a few hundred steps;
-    RuntimeError if neither does. Runs once per process, at the first
-    solve.
-    """
-    for transposed in (False, True):
-        J = _PROBE_A.T if transposed else _PROBE_A
-        vode = _Vode(lambda t, y: _PROBE_A @ y, lambda t, y: J, np.ones(2), 0.0, 1e-8, 1e-10, 500)
-        y = vode.integrate(1.0)
-        if vode.istate > 0 and np.abs(y - _PROBE_Y1).max() < 1e-6:
-            return transposed
-    raise RuntimeError("VODE BDF solves the probe system with neither Jacobian layout")
-
-
 def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span with scipy's compiled VODE BDF
     (Brown, Byrne & Hindmarsh 1989) and return the states at t_eval
@@ -1100,20 +1080,18 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
     ``_STEP_WINDOW`` of simulated time, returns success=False with VODE's
     return code in the message and the outputs reached so far.
     """
-    transposed = _jacobian_transposed()
     t0, t1 = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
     t_eval = np.array([t1]) if t_eval is None else np.asarray(t_eval, dtype=float)
 
     def jac(t, y):
         # row 0 is the base state, row j + 1 perturbs component j; row j of
-        # the differences is column j of the Jacobian
+        # the differences is column j of the Jacobian, as dvode reads it
         h = (y + _FD_STEP * np.maximum(np.abs(y), 1.0)) - y
         Y = np.repeat(y[None], y.size + 1, axis=0)
         Y[1:] += np.diag(h)
         F = fun(t, Y)
-        JT = (F[1:] - F[:1]) / h[:, None]
-        return JT if transposed else JT.T
+        return (F[1:] - F[:1]) / h[:, None]
 
     vode = _Vode(fun, jac, y0, t0, rtol, atol, _MAX_STEPS)
     # VODE's step limit holds per call. It steps past each stop and

@@ -147,7 +147,6 @@ class DamageReport:
     t_task: float
     t_life_seconds: float  # inf when no damage accumulates
     finite_life: bool
-    critical_cycles: float  # total cycle weight counted on the critical plane
 
     @property
     def t_life_hours(self) -> float:
@@ -190,12 +189,10 @@ def critical_plane_lifetime(
         raise ValueError(f"t_task must be positive and finite, got {t_task}")
     h = _quarter_turn_offset(angles)
     damage = np.empty(angles.size)
-    cycle_weight = np.empty(angles.size)
 
     def score(j: int, cycles: rainflow.CycleSet) -> None:
         matrix = rainflow.bin_cycles(cycles, n_mean_bins, n_amp_bins)
         damage[j] = accumulate(matrix, mat)
-        cycle_weight[j] = cycles.total_weight
 
     for k in range(angles.size - h):
         equivalent = tresca_history(history, angles[k])
@@ -217,5 +214,4 @@ def critical_plane_lifetime(
         t_task=float(t_task),
         t_life_seconds=(t_task / d_max) if finite else math.inf,
         finite_life=finite,
-        critical_cycles=float(cycle_weight[k_max]),
     )

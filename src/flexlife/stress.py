@@ -30,7 +30,6 @@ class MaterialPoint:
     section when viewed along +x.
     """
 
-    xi: float
     y: float
     z: float
     tangent: tuple[float, float]
@@ -43,7 +42,7 @@ def _face_tangent(y: float, z: float, half: float) -> tuple[float, float]:
     return (0.0, 1.0) if y > 0 else (0.0, -1.0)
 
 
-def material_point(section: CrossSection, xi: float, y: float, z: float) -> MaterialPoint:
+def material_point(section: CrossSection, y: float, z: float) -> MaterialPoint:
     """Validated wall-midline point with the tangent of its face; a NaN or
     infinite coordinate fails (max(abs(y), abs(z)) drops a NaN z)."""
     half = 0.5 * (section.a - section.t)
@@ -53,12 +52,12 @@ def material_point(section: CrossSection, xi: float, y: float, z: float) -> Mate
         raise ValueError(
             f"point (y={y}, z={z}) is not on the wall midline (half-width {half:.6g})"
         )
-    return MaterialPoint(xi=xi, y=y, z=z, tangent=_face_tangent(y, z, half))
+    return MaterialPoint(y=y, z=z, tangent=_face_tangent(y, z, half))
 
 
-def default_stress_point(section: CrossSection, xi_crit: float = 0.0) -> MaterialPoint:
+def default_stress_point(section: CrossSection) -> MaterialPoint:
     """Outer mid-wall point of the top face, where bending stress peaks."""
-    return material_point(section, xi_crit, 0.0, 0.5 * (section.a - section.t))
+    return material_point(section, 0.0, 0.5 * (section.a - section.t))
 
 
 def check_sample_times(times: np.ndarray) -> None:

@@ -23,6 +23,21 @@ class TestConfigValidation:
         assert len(cfg.grid) == 36
         assert cfg.reference == (0.004, 0.004)
 
+    def test_byte_order_mark_config_loads_as_without(self, tmp_path):
+        # a JSON file saved by an editor as "UTF-8 with BOM"
+        bom = tmp_path / "demo_bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + DEMO_CONFIG.read_bytes())
+        assert load_config(bom) == load_config(DEMO_CONFIG)
+
+    def test_non_utf8_config_exit_2(self, runner, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"robot": "\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(p)
+        result = runner.invoke(main, ["simulate", "--config", str(p)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
     def test_missing_key_names_it(self, tmp_path):
         raw = json.loads(DEMO_CONFIG.read_text())
         del raw["robot"]["edge_length"]
@@ -208,6 +223,23 @@ class TestFatigueCommand:
             )
             assert result.exit_code == 0, result.output
             reports.append((tmp_path / name / "damage_report.json").read_text())
+        assert reports[0] == reports[1]
+
+    def test_byte_order_mark_material_read_as_without(self, runner, tmp_path):
+        stress = tmp_path / "stress.csv"
+        stress.write_text("t,sigma_xx,sigma_xy\n0.0,1e8,0.0\n0.1,-1e8,2e7\n0.2,1e8,0.0\n")
+        plain = Path(DEMO_CONFIG).parent / "fatigue_material.json"
+        bom = tmp_path / "material_bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for name, material in (("plain", plain), ("bom", bom)):
+            result = runner.invoke(
+                main,
+                ["fatigue", str(stress), str(material), "--angles", "5",
+                 "--out-dir", str(tmp_path / name)],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append((tmp_path / name / "damage_report.json").read_bytes())
         assert reports[0] == reports[1]
 
     def test_report_keys_leave_out_the_run_record(self, runner, tmp_path):

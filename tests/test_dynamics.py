@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import ode, solve_ivp
 from scipy.linalg import eigh, expm
 
-from flexlife import dynamics as dyn
+from flexlife import config, dynamics as dyn
 from flexlife.trajectory import JointLimits, TrajectoryPlan, plan_joint_move
 
 
@@ -1002,9 +1002,24 @@ STIFF_SYSTEMS = {
 }
 
 
+# stiff, non-symmetric linear system that tells the two Jacobian layouts
+# apart; from y(0) = (1, 1) its exact y(1) (the e^(-1e4 t) mode has died out)
+PROBE_A = np.array([[-1e4, 1e4], [0.0, -1.0]])
+PROBE_Y1 = math.exp(-1.0) * np.array([1e4 / 9999.0, 1.0])
+
+
+def probe_solves(J):
+    """Whether VODE, handed the constant array J as the probe system's
+    Jacobian, reaches its exact y(1) within 500 steps."""
+    vode = dyn._Vode(linear(PROBE_A), lambda t, y: J, np.ones(2), 0.0, 1e-8, 1e-10, 500)
+    y = vode.integrate(1.0)
+    return vode.istate > 0 and np.abs(y - PROBE_Y1).max() < 1e-6
+
+
 class TestVodeDriver:
     """dynamics.solve_ivp drives scipy's VODE BDF; these pin the workarounds
-    for its quirks and the meaning of the counters it reads."""
+    for its quirks, the Jacobian layout dvode reads and the meaning of the
+    counters it reads."""
 
     @pytest.mark.parametrize("name", sorted(STIFF_SYSTEMS))
     def test_stiff_linear_systems_converge_cheaply(self, name):
@@ -1019,17 +1034,11 @@ class TestVodeDriver:
         assert sol.nfev < 1000
 
     def test_layout_probe_discriminates(self):
-        # the probe's layout solves the probe system, the other one must
-        # not, or the probe could not tell a transposing VODE from a fixed one
-        transposed = dyn._jacobian_transposed()
-        A = dyn._PROBE_A
-        results = []
-        for layout in (transposed, not transposed):
-            J = A.T if layout else A
-            vode = dyn._Vode(linear(A), lambda t, y: J, np.ones(2), 0.0, 1e-8, 1e-10, 500)
-            y = vode.integrate(1.0)
-            results.append(vode.istate > 0 and np.abs(y - dyn._PROBE_Y1).max() < 1e-6)
-        assert results == [True, False]
+        # dvode reads the Jacobian transposed (scipy >= 1.17, the version
+        # floor): that layout solves the probe system, the other one must
+        # not, or a dvode that changed its layout could pass unnoticed
+        assert probe_solves(PROBE_A.T)
+        assert not probe_solves(PROBE_A)
 
     def test_no_vode_warning_escapes(self, small_design, short_plan, fast_sim):
         # scipy's wrapper warns of each failed VODE call: the probe's wrong
@@ -1037,15 +1046,10 @@ class TestVodeDriver:
         # is told by return values and exceptions only
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dyn._jacobian_transposed.__wrapped__() == dyn._jacobian_transposed()
+            assert not probe_solves(PROBE_A)
             sol = dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0], rtol=1e-6, atol=1e-9)
             assert not sol.success
             dyn.simulate(small_design, short_plan, fast_sim)
-
-    def test_layout_probe_raises_when_no_layout_converges(self, monkeypatch):
-        monkeypatch.setattr(dyn, "_PROBE_Y1", dyn._PROBE_Y1 + 1.0)
-        with pytest.raises(RuntimeError, match="neither Jacobian layout"):
-            dyn._jacobian_transposed.__wrapped__()
 
     def test_counters_count_rhs_calls_and_steps(self):
         # f calls are single states; each Jacobian is one batched call
@@ -1248,7 +1252,6 @@ def recording(driver, log):
 def run_both(monkeypatch, run):
     """run() with the direct driver and with the ode oracle: per driver,
     (its result or the exception it raised, its stops, its end state)."""
-    dyn._jacobian_transposed()  # its probe runs once, before either run
     outcomes = []
     for driver in (dyn._Vode, OdeVode):
         log = []
@@ -1624,6 +1627,35 @@ class TestRhsFastPaths:
             assert lookup(t).tobytes() == want.tobytes(), t
         # a -0.0 read at its knot keeps its sign, as np.interp's does
         assert np.signbit(dyn._row_lookup(np.array([0.0, 1.0]), np.array([[-0.0], [1.0]]))(0.0))
+
+    @pytest.mark.parametrize("cell", [1, 31])
+    def test_feedforward_table_ends_one_knot_after_the_task(self, workloads, cell):
+        # the table on every knot of the run, as it was built before it
+        # ended after the task, against the table that ends there: the
+        # lookups give the same bits, tolerance 0
+        cfg = config.load_config(workloads.BASE_CONFIG)
+        plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
+        _, t1, t2 = list(cfg.grid.candidates())[cell - 1]
+        model = dyn.RobotModel(cfg.design.with_thicknesses(t1, t2))
+        q0, _ = dyn.static_equilibrium(model, plan.q_pick)
+        t_end = plan.t_task + 2.0 * float(np.max(dyn.linearized_periods(model, q0)))
+        dt = 2e-3
+        ts_full = np.arange(0.0, t_end + dt, dt)
+        qdes, qddes, qdddes = plan.sample_grid(ts_full)
+        S = np.zeros((model.n, 3))
+        S[:3] = S[3:6] = np.eye(3)
+        M, f = model.mass_and_forces(np.concatenate((qdes @ S.T, qddes @ S.T), axis=-1))
+        tau_full = ((M @ (qdddes @ S.T)[..., None])[..., 0] - f) @ S
+        # the plan holds its pose after the task: every row from there on
+        # repeats one row
+        after = tau_full[ts_full >= plan.t_task]
+        assert len(after) > 100 and np.all(after == after[0])
+        ts, tau = dyn._feedforward_table(model, plan, t_end, dt)
+        assert ts[-2] <= plan.t_task < ts[-1]
+        assert ts.tobytes() == ts_full[: ts.size].tobytes()
+        full, cut = dyn._row_lookup(ts_full, tau_full), dyn._row_lookup(ts, tau)
+        for t in np.concatenate((np.linspace(0.0, t_end, 20001), ts_full)).tolist():
+            assert np.array(cut(t)).tobytes() == np.array(full(t)).tobytes(), t
 
     @pytest.mark.parametrize("feedforward", [True, False])
     def test_one_state_rhs_gives_numpy_control_bits(self, small_design, short_plan, fast_sim,

@@ -24,8 +24,7 @@ DEMO = np.array([-2.0, 1.0, -3.0, 5.0, -1.0, 3.0, -4.0, 4.0, -2.0])
 
 
 def series_from_values(values):
-    values = np.asarray(values, dtype=float)
-    return ExtremaSeries(values=values, times=np.arange(values.size, dtype=float))
+    return ExtremaSeries(np.asarray(values, dtype=float))
 
 
 class TestExtractExtrema:
@@ -58,7 +57,7 @@ class TestExtractExtrema:
         rng = np.random.default_rng(11)
         sig = rng.normal(size=300).cumsum()
         first = extract_extrema(np.arange(300.0), sig)
-        second = extract_extrema(first.times, first.values)
+        second = extract_extrema(np.arange(float(len(first))), first.values)
         assert second.values.tolist() == first.values.tolist()
 
     def test_hysteresis_gate_removes_small_oscillations(self):
@@ -80,9 +79,11 @@ class TestExtractExtrema:
     def test_tiny_differences_keep_alternation(self):
         # the products of consecutive differences underflow to 0 here, their
         # signs do not
-        out = extract_extrema(np.arange(5.0), [1.0, 2.2e-311, 0.0, 4.2e-70, 0.0])
+        sig = np.array([1.0, 2.2e-311, 0.0, 4.2e-70, 0.0])
+        out = extract_extrema(np.arange(5.0), sig)
         assert out.values.tolist() == [1.0, 0.0, 4.2e-70, 0.0]
-        assert out.times.tolist() == [0.0, 2.0, 3.0, 4.0]
+        # the samples kept are 0, 2, 3 and 4, bit for bit
+        assert out.values.tobytes() == sig[[0, 2, 3, 4]].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, bad):
@@ -145,12 +146,12 @@ class TestCountCycles:
 
     def test_non_alternating_rejected(self):
         with pytest.raises(ValueError):
-            ExtremaSeries(values=np.array([0.0, 1.0, 2.0]), times=np.arange(3.0))
+            ExtremaSeries(np.array([0.0, 1.0, 2.0]))
 
     def test_non_alternating_tiny_differences_rejected(self):
         # a monotone run whose difference product underflows to 0
         with pytest.raises(ValueError, match="alternate"):
-            ExtremaSeries(values=np.array([0.0, 1e-200, 2e-200]), times=np.arange(3.0))
+            ExtremaSeries(np.array([0.0, 1e-200, 2e-200]))
 
     def test_weight_bookkeeping_random_series(self):
         rng = np.random.default_rng(5)
@@ -199,13 +200,11 @@ class TestEquivariance:
 
 
 def assert_negation_mirrors_cycles(sig, gate):
-    """extract_extrema of -sig keeps the times and negates the values;
-    count_cycles then negates the means and keeps amplitudes and weights
-    bit for bit."""
+    """extract_extrema of -sig negates the values; count_cycles then
+    negates the means and keeps amplitudes and weights bit for bit."""
     times = np.arange(float(sig.size))
     plus = extract_extrema(times, sig, gate)
     minus = extract_extrema(times, -sig, gate)
-    assert minus.times.tobytes() == plus.times.tobytes()
     assert minus.values.tobytes() == (-plus.values).tobytes()
     for include_residue in (True, False):
         base = count_cycles(plus, include_residue=include_residue)
@@ -517,18 +516,18 @@ class TestBinIndexMatchesSearchsorted:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-def former_alternating(values, times):
+def former_alternating(values):
     """_alternating before its fast path, with the repeat removal always
     on: the oracle of TestAlternating."""
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = np.diff(values) != 0.0
-    v, t = values[keep], times[keep]
+    v = values[keep]
     if v.size <= 2:
-        return v, t
+        return v
     up = np.diff(v) > 0.0
     interior = up[:-1] != up[1:]
     mask = np.concatenate(([True], interior, [True]))
-    return v[mask], t[mask]
+    return v[mask]
 
 
 class TestAlternating:
@@ -537,22 +536,19 @@ class TestAlternating:
 
     @staticmethod
     def assert_same(got, want):
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_fast_path_matches_plateau_path(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             n = int(rng.integers(2, 400))
             x = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-300.0, 300.0)
-            t = np.sort(rng.uniform(0.0, 10.0, n))
             assert np.all(np.diff(x) != 0.0)
-            fast = _alternating(x, t)
+            fast = _alternating(x)
             # a repeated sample takes the plateau path, which drops it again
             k = int(rng.integers(0, n))
-            plateau = _alternating(np.insert(x, k, x[k]), np.insert(t, k, t[k]))
-            self.assert_same(fast, plateau)
-            self.assert_same(fast, former_alternating(x, t))
+            self.assert_same(fast, _alternating(np.insert(x, k, x[k])))
+            self.assert_same(fast, former_alternating(x))
 
     @pytest.mark.parametrize("values", [
         [1.0, 2.2e-311, 0.0, 4.2e-70, 0.0],
@@ -562,23 +558,18 @@ class TestAlternating:
     ], ids=["tiny", "huge", "constant", "plateaus"])
     def test_matches_former_code(self, values):
         x = np.asarray(values, dtype=float)
-        t = np.arange(float(x.size))
         with np.errstate(over="ignore"):
-            self.assert_same(_alternating(x, t), former_alternating(x, t))
+            self.assert_same(_alternating(x), former_alternating(x))
 
     def test_integer_histories_with_plateaus(self):
         rng = np.random.default_rng(32)
         for _ in range(300):
             x = rng.integers(-2, 3, int(rng.integers(1, 60))).astype(float)
-            t = np.arange(float(x.size))
-            self.assert_same(_alternating(x, t), former_alternating(x, t))
+            self.assert_same(_alternating(x), former_alternating(x))
 
     @pytest.mark.parametrize("values", [
         [1.0], [1.0, 2.0], [1.0, 1.0], [1.0, 2.0, 2.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.5, 2.0],
     ])
     def test_never_a_view_of_the_input(self, values):
         x = np.asarray(values, dtype=float)
-        t = np.arange(float(x.size))
-        v, tt = _alternating(x, t)
-        assert not np.shares_memory(v, x)
-        assert not np.shares_memory(tt, t)
+        assert not np.shares_memory(_alternating(x), x)

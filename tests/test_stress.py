@@ -26,9 +26,9 @@ class TestMaterialPoint:
 
     def test_off_midline_rejected(self, section):
         with pytest.raises(ValueError):
-            st.material_point(section, 0.0, 0.0, 0.0)
+            st.material_point(section, 0.0, 0.0)
         with pytest.raises(ValueError):
-            st.material_point(section, 0.0, 0.0, section.a)
+            st.material_point(section, 0.0, section.a)
 
     @pytest.mark.parametrize("y, z", [(1.0, np.nan), (np.nan, 1.0), (1.0, np.inf),
                                       (-np.inf, 0.0), (np.nan, np.nan)])
@@ -37,13 +37,13 @@ class TestMaterialPoint:
         # midline test, since max(half, nan) is half
         half = 0.5 * (section.a - section.t)
         with pytest.raises(ValueError, match="not on the wall midline"):
-            st.material_point(section, 0.0, y * half, z * half)
+            st.material_point(section, y * half, z * half)
 
     def test_face_tangents_counterclockwise(self, section):
         half = 0.5 * (section.a - section.t)
-        assert st.material_point(section, 0.0, half, 0.0).tangent == (0.0, 1.0)
-        assert st.material_point(section, 0.0, -half, 0.0).tangent == (0.0, -1.0)
-        assert st.material_point(section, 0.0, 0.0, -half).tangent == (1.0, 0.0)
+        assert st.material_point(section, half, 0.0).tangent == (0.0, 1.0)
+        assert st.material_point(section, -half, 0.0).tangent == (0.0, -1.0)
+        assert st.material_point(section, 0.0, -half).tangent == (1.0, 0.0)
 
 
 class TestStressesFromCurvature:
@@ -55,7 +55,7 @@ class TestStressesFromCurvature:
     def test_pure_bending(self, section, steel):
         # v'' = c at a side-wall point (y, 0): sigma_xx = -E c y, no shear
         half = 0.5 * (section.a - section.t)
-        pt = st.material_point(section, 0.0, half, 0.0)
+        pt = st.material_point(section, half, 0.0)
         c = 0.01
         kappa = np.array([[0.0, c, 0.0]])
         hist = st.stresses_from_curvature(np.array([0.0]), kappa, pt, steel)
@@ -68,7 +68,7 @@ class TestStressesFromCurvature:
         c = 0.02
         kappa = np.array([[c, 0.0, 0.0]])
         for y, z in [(0.0, half), (half, 0.0), (0.0, -half), (-half, 0.0)]:
-            pt = st.material_point(section, 0.0, y, z)
+            pt = st.material_point(section, y, z)
             hist = st.stresses_from_curvature(np.array([0.0]), kappa, pt, steel)
             r = np.hypot(y, z)
             assert hist.sigma_xy[0] == pytest.approx(steel.G * c * r, rel=1e-12)
