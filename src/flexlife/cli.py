@@ -1,8 +1,10 @@
 """Command-line front-end of the simulation / fatigue / sweep pipeline.
 
 Commands are pure functions of their input files: re-running with the
-same inputs reproduces the outputs byte for byte. Exit codes: 0 success,
-2 configuration or input validation error, 3 numerical failure.
+same inputs reproduces the outputs byte for byte. Exit codes, set for
+every command in one place: 0 success; 2 bad input or an unreadable file
+(ValueError, such as ConfigError, or OSError); 3 a numerical failure
+(SimulationError). A failure ends in one ``error:`` line, no traceback.
 """
 
 from __future__ import annotations
@@ -34,11 +36,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _finite(ctx, param, value):
     """Option callback: click's float types let nan and inf through."""
     if value is not None and not math.isfinite(value):
@@ -46,16 +43,25 @@ def _finite(ctx, param, value):
     return value
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps a command's errors to its exit code and one error line.
+    SimulationError is caught by name: click's Exit (as from --help) and
+    Abort are RuntimeErrors too."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SimulationError as exc:
+            code, message = EXIT_NUMERIC, str(exc)
+        except (OSError, ValueError) as exc:  # ConfigError, JSON and decoding errors
+            code, message = EXIT_INPUT, str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
+
+
+@click.group(cls=_Group)
 def main():
     """Elastic-arm load-case simulation and fatigue lifetime estimation."""
-
-
-def _load(config_path):
-    try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        _fail(EXIT_INPUT, str(exc))
 
 
 def _write_history(path: Path, result, n_e1: int, n_e2: int) -> None:
@@ -82,16 +88,13 @@ def _write_history(path: Path, result, n_e1: int, n_e2: int) -> None:
 @click.option("--out-dir", type=click.Path(), default=None, help="Output directory.")
 def cmd_simulate(config_path, out_dir):
     """Run one load-case simulation; write history and stress CSV files."""
-    cfg = _load(config_path)
+    cfg = load_config(config_path)
     out = Path(out_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
     if plan.t_task == 0.0:
         click.echo("note: q_pick equals q_place (t_task = 0); settling-only run")
-    try:
-        result = simulate(cfg.design, plan, cfg.sim)
-    except SimulationError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    result = simulate(cfg.design, plan, cfg.sim)
     spec1, spec2 = cfg.design.beam_spec(0), cfg.design.beam_spec(1)
     _write_history(out / "history.csv", result, spec1.n_elastic, spec2.n_elastic)
     h1, h2 = link_stress_histories(cfg.design, result)
@@ -130,24 +133,18 @@ def _report_dict(report: fat.DamageReport) -> dict:
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, gate, out_dir):
     """Critical-plane damage and lifetime from a stress-history CSV."""
-    try:
-        history = read_stress_csv(stress_csv)
-        with open(material_json, encoding="utf-8-sig") as fh:
-            material = parse_fatigue_material(json.load(fh), ctx="material")
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and decoding errors
-        _fail(EXIT_INPUT, str(exc))
+    history = read_stress_csv(stress_csv)
+    with open(material_json, encoding="utf-8-sig") as fh:
+        material = parse_fatigue_material(json.load(fh), ctx="material")
     if t_task is None:
         t_task = float(history.times[-1] - history.times[0])
     if t_task <= 0.0:
-        _fail(EXIT_INPUT, "t_task must be positive (pass --t-task for single-point histories)")
-    try:
-        with np.errstate(over="ignore"):  # overflow ends in a finiteness error
-            report = fat.critical_plane_lifetime(
-                history, fat.angle_grid(angles), material, t_task,
-                n_mean_bins=mean_bins, n_amp_bins=amp_bins, hysteresis_gate=gate,
-            )
-    except ValueError as exc:  # e.g. a Tresca history that overflows
-        _fail(EXIT_INPUT, str(exc))
+        raise ConfigError("t_task must be positive (pass --t-task for single-point histories)")
+    with np.errstate(over="ignore"):  # overflow ends in a finiteness error
+        report = fat.critical_plane_lifetime(
+            history, fat.angle_grid(angles), material, t_task,
+            n_mean_bins=mean_bins, n_amp_bins=amp_bins, hysteresis_gate=gate,
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "damage_report.json"
@@ -167,19 +164,16 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
     """Rainflow matrix of a scalar stress history CSV (columns t, sigma)."""
-    try:
-        data = np.genfromtxt(series_csv, delimiter=",", names=True, encoding="utf-8-sig")
-        names = data.dtype.names or ()
-        if "t" not in names or "sigma" not in names:
-            raise ConfigError("series CSV needs columns 't' and 'sigma'")
-        t = np.atleast_1d(data["t"])
-        sigma = np.atleast_1d(data["sigma"])
-        with np.errstate(over="ignore"):  # overflow ends in a finiteness error
-            series = rfc.extract_extrema(t, sigma, gate)
-            cycles = rfc.count_cycles(series)
-            matrix = rfc.bin_cycles(cycles, mean_bins, amp_bins)
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
+    data = np.genfromtxt(series_csv, delimiter=",", names=True, encoding="utf-8-sig")
+    names = data.dtype.names or ()
+    if "t" not in names or "sigma" not in names:
+        raise ConfigError("series CSV needs columns 't' and 'sigma'")
+    t = np.atleast_1d(data["t"])
+    sigma = np.atleast_1d(data["sigma"])
+    with np.errstate(over="ignore"):  # overflow ends in a finiteness error
+        series = rfc.extract_extrema(t, sigma, gate)
+        cycles = rfc.count_cycles(series)
+        matrix = rfc.bin_cycles(cycles, mean_bins, amp_bins)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "rainflow_matrix.csv"
@@ -284,17 +278,14 @@ def _write_sweep_stats(out: Path, outcome: SweepOutcome) -> None:
               help="Display ceiling for infinite lifetimes in plot CSV.")
 def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
     """Evaluate the full thickness grid and extract the Pareto front."""
-    cfg = _load(config_path)
+    cfg = load_config(config_path)
     out = Path(out_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
     settings = cfg.sweep_settings(
         jobs=jobs, only_pareto=(True if only_pareto_fatigue else None)
     )
-    try:
-        outcome = run_sweep(cfg.grid, cfg.design, plan, settings)
-    except RuntimeError as exc:  # includes SimulationError
-        _fail(EXIT_NUMERIC, str(exc))
+    outcome = run_sweep(cfg.grid, cfg.design, plan, settings)
     _write_sweep_outputs(out, outcome, plot_cap_hours)
     _write_sweep_stats(out, outcome)
     for r in outcome.failures:
@@ -310,31 +301,25 @@ def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
 @click.option("--out", type=click.Path(), default="pareto.json", show_default=True)
 def cmd_pareto(points_csv, out):
     """Standalone front extraction from a CSV with columns config, jm, jvib."""
-    try:
-        data = np.genfromtxt(points_csv, delimiter=",", names=True, encoding="utf-8-sig")
-        names = data.dtype.names or ()
-        for col in ("config", "jm", "jvib"):
-            if col not in names:
-                raise ConfigError(f"points CSV is missing column '{col}'")
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
+    data = np.genfromtxt(points_csv, delimiter=",", names=True, encoding="utf-8-sig")
+    names = data.dtype.names or ()
+    for col in ("config", "jm", "jvib"):
+        if col not in names:
+            raise ConfigError(f"points CSV is missing column '{col}'")
     ids = np.atleast_1d(data["config"])
     for c in ids:
         # a blank or non-numeric cell reads as nan
         if not (math.isfinite(c) and c == int(c) and c >= 1):
-            _fail(EXIT_INPUT, f"config id {_fmt(c)} is not an integer >= 1")
+            raise ConfigError(f"config id {_fmt(c)} is not an integer >= 1")
     if np.unique(ids).size != ids.size:
-        _fail(EXIT_INPUT, "config ids must be unique")
+        raise ConfigError("config ids must be unique")
     results = [
         CandidateResult(
             config=int(c), t1=0.0, t2=0.0, j_mass=float(jm), j_vib=float(jv)
         )
         for c, jm, jv in zip(ids, np.atleast_1d(data["jm"]), np.atleast_1d(data["jvib"]))
     ]
-    try:
-        front = extract_front(results)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    front = extract_front(results)
     with open(out, "w") as fh:
         json.dump({"front": list(front.ids)}, fh, indent=2)
         fh.write("\n")

@@ -250,7 +250,8 @@ def run_sweep(
     results are reduced in configuration order, so the outcome does not
     depend on the worker count. A candidate whose simulation fails
     numerically (SimulationError or ValueError) is recorded as failed and
-    the sweep continues; any other exception propagates.
+    the sweep continues; any other exception propagates. SimulationError,
+    naming the first candidate's error, if every candidate fails.
     """
     reference = base_design.with_thicknesses(*settings.reference)
     cells = list(grid.candidates())
@@ -281,7 +282,8 @@ def run_sweep(
 
     ok = [r for r in results if r.error is None]
     if not ok:
-        raise RuntimeError("all candidates failed; nothing to rank")
+        raise SimulationError("all candidates failed; nothing to rank (candidate "
+                              f"{results[0].config}: {results[0].error})")
     front = pareto_front(ok)
 
     fatigue_set = set(front.ids) if settings.only_pareto_fatigue else {r.config for r in ok}

@@ -460,21 +460,15 @@ class RobotModel:
         """The table's columns [M | dM/dq2 | dM/dq3 | C | dC/dq2 | dC/dq3] at
         the angle pairs q23 (..., 2).
 
-        A batch reads row 0's pair and each pair whose bits differ from it
-        (:func:`_own`) as its own (1, 25) @ table product, the bits of one
-        state's np.dot (a (k, 25) product would miss them), in place; the
-        other rows take row 0's read.
+        Row 0's pair and each pair whose bits differ from it (:func:`_own`)
+        are read as their own (1, 25) @ table products, the bits of one
+        state's np.dot (a (k, 25) product would miss them); the other rows
+        take row 0's read.
         """
-        if q23.ndim == 1:
-            return np.dot(_harmonic_row(*q23.tolist()), self._table)
         pairs = q23.reshape(-1, 2)
-        own = _own(pairs)[0]
-        first = np.flatnonzero(own).tolist()
-        rows = np.empty((len(pairs), self._table.shape[1]))
-        np.matmul(_harmonics(pairs[own], 1), self._table, out=rows[: len(first), None])
-        for j, k in reversed(list(enumerate(first))):  # read j to row k >= j, last first
-            rows[k] = rows[j]
-        rows[~own] = rows[0]
+        own, source = _own(pairs)
+        reads = (_harmonics(pairs[own], 1) @ self._table)[:, 0]
+        rows = reads if len(reads) == len(pairs) else reads[source]
         return rows.reshape(q23.shape[:-1] + rows.shape[-1:])
 
     def mass_gradients(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -491,16 +485,13 @@ class RobotModel:
 
         One read of the harmonic table gives M, dM/dq2, dM/dq3 and the
         gravity monomial weights C, dC/dq2, dC/dq3; V_grav = e1^T C e2 over
-        e = (1, q_e) of each link. M is (..., n, n) and f (..., n). One
-        state (2n,) takes :meth:`one_state_forces`, the path of every f
-        call of the solver, with the arithmetic of one row of a batch. The
-        two must agree bit for bit: the solver's Jacobian is a batch, and
-        on a very stiff design a one-ulp difference between them made VODE
-        take 28 times the steps.
+        e = (1, q_e) of each link. M is (..., n, n) and f (..., n). Every f
+        call of the solver takes :meth:`one_state_forces`, with the
+        arithmetic of one row of a batch. The two must agree bit for bit:
+        the solver's Jacobian is a batch, and on a very stiff design a
+        one-ulp difference between them made VODE take 28 times the steps.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:  # fresh buffers, so the arrays are the caller's
-            return self.one_state_forces()(x, x.tolist())
         n, n2 = self.n, self.n**2
         q, qd = x[..., :n], x[..., n:]
         rows = self._read(q[..., 4:6])
@@ -811,7 +802,8 @@ def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarr
     Newton's method on the exact potential Hessian stops when the free
     gradient norm is below 1e-9 or, for a model so stiff that the
     gradient's own roundoff keeps it above that, when the step is below
-    1e-12; SimulationError if neither happens in 50 steps.
+    1e-12; SimulationError if neither happens in 50 steps or a Newton
+    step cannot be solved.
     """
     q = np.zeros(model.n)
     q[:3] = q_motor
@@ -820,7 +812,10 @@ def static_equilibrium(model: RobotModel, q_motor: np.ndarray) -> tuple[np.ndarr
         r = model.potential_grad(q)[3:]
         if np.linalg.norm(r) < 1e-9:
             return q, steps
-        step = np.linalg.solve(model.potential_hessian(q)[3:, 3:], r)
+        try:
+            step = np.linalg.solve(model.potential_hessian(q)[3:, 3:], r)
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(f"static equilibrium: Newton step failed: {exc}") from exc
         q[3:] -= step
         if np.linalg.norm(step) < 1e-12:
             return q, steps + 1
@@ -1126,7 +1121,9 @@ def simulate(
     design: RobotDesign, plan: TrajectoryPlan, settings: SimSettings | None = None
 ) -> SimulationResult:
     """Integrate the closed-loop (or free) dynamics over the task plus a
-    settling window, with outputs on a uniform grid."""
+    settling window, with outputs on a uniform grid. Every numerical
+    failure raises SimulationError; a design that RobotModel cannot
+    tabulate raises ValueError."""
     t_start = time.perf_counter()
     settings = settings or SimSettings()
     model = RobotModel(design)
@@ -1147,7 +1144,10 @@ def simulate(
 
     t_settle = settings.t_settle
     if t_settle is None:
-        t_settle = 2.0 * float(np.max(linearized_periods(model, q0)))
+        try:
+            t_settle = 2.0 * float(np.max(linearized_periods(model, q0)))
+        except ValueError as exc:  # LinAlgError is a ValueError
+            raise SimulationError(f"settling window: vibration periods failed: {exc}") from exc
     t_end = plan.t_task + t_settle
 
     n_int = 3 if controlled else 0

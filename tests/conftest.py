@@ -96,6 +96,15 @@ def fast_config(tmp_path: Path, **overrides) -> Path:
     cfg["fatigue"]["material"]["fatigue_strength"] = 8e5
     cfg["sweep"]["t1_values"] = [1 * MM, 4 * MM]
     cfg["sweep"]["t2_values"] = [4 * MM]
+    return _write_config(tmp_path, cfg, overrides)
+
+
+def demo_config(tmp_path: Path, **overrides) -> Path:
+    """configs/demo.json with overrides by dotted key, as fast_config."""
+    return _write_config(tmp_path, json.loads(DEMO_CONFIG.read_text()), overrides)
+
+
+def _write_config(tmp_path: Path, cfg: dict, overrides: dict) -> Path:
     for key, value in overrides.items():
         node = cfg
         *parents, leaf = key.split(".")

@@ -8,12 +8,67 @@ from click.testing import CliRunner
 
 from flexlife.cli import main
 from flexlife.config import ConfigError, load_config
-from tests.conftest import DEMO_CONFIG, fast_config
+from tests.conftest import DEMO_CONFIG, demo_config, fast_config
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.mark.parametrize("command", [[], ["simulate"], ["fatigue"], ["rainflow"], ["sweep"],
+                                     ["pareto"]])
+def test_help_exits_0(runner, command):
+    # --help ends in click's Exit, a RuntimeError: the group's mapping of
+    # errors to exit codes lets it through
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("Usage: ")
+
+
+def assert_error_exit(result, code: int, message: str):
+    """Exit code, and one error line last on stderr, with no traceback."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith("error: ") and message in last, last
+
+
+# demo configs that pass validation but that no run can simulate: a payload
+# whose weight overflows, so the Newton step of the static equilibrium
+# fails, or from rest the settling window's vibration periods; and a hub
+# inertia that overflows the mass-matrix table check
+FAILING_DEMOS = {
+    "newton": ({"robot.payload_mass": 1e300}, 3, "static equilibrium"),
+    "periods": ({"robot.payload_mass": 1e300, "simulation.initial_elastic": "zero"}, 3,
+                "settling window"),
+    "table": ({"robot.hub2_inertia": 1e308}, 2, "table residual nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_DEMOS))
+class TestNumericalFailureExits:
+    def test_simulate(self, runner, tmp_path, case):
+        overrides, code, message = FAILING_DEMOS[case]
+        cfg = demo_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+            result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                          "--out-dir", str(tmp_path / "out")])
+        assert_error_exit(result, code, message)
+
+    def test_sweep_of_one_cell(self, runner, tmp_path, case):
+        # every candidate fails, which is a numerical failure of the sweep
+        overrides, _, message = FAILING_DEMOS[case]
+        cfg = demo_config(tmp_path, **overrides, **{"sweep.t1_values": [0.004],
+                                                    "sweep.t2_values": [0.004]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = runner.invoke(main, ["sweep", "--config", str(cfg),
+                                          "--out-dir", str(tmp_path / "out")])
+        assert_error_exit(result, 3, "all candidates failed")
+        assert "(candidate 1: " in result.stderr and message in result.stderr
 
 
 class TestConfigValidation:

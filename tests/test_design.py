@@ -260,6 +260,16 @@ class TestRunSweep:
                 short_plan.t_task, rel=1e-12
             )
 
+    def test_all_failed_names_the_first_candidate(self, small_design, short_plan,
+                                                  sweep_settings):
+        # 20 and 25 mm walls are geometrically invalid (2t >= a): nothing to
+        # rank, and the error says why the first candidate failed
+        grid = dsg.CandidateGrid(t1_values=(20 * MM, 25 * MM), t2_values=(2 * MM,))
+        with pytest.raises(dyn.SimulationError, match="all candidates failed") as info:
+            dsg.run_sweep(grid, small_design, short_plan, sweep_settings)
+        assert isinstance(info.value, RuntimeError)
+        assert "(candidate 1: ValueError: " in str(info.value)
+
     def test_programming_error_propagates(
         self, small_design, short_plan, sweep_settings, monkeypatch
     ):

@@ -10,6 +10,7 @@ from scipy.linalg import eigh, expm
 
 from flexlife import config, dynamics as dyn
 from flexlife.trajectory import JointLimits, TrajectoryPlan, plan_joint_move
+from tests.conftest import demo_config
 
 
 def no_damping(design):
@@ -131,7 +132,7 @@ class TestAssembly:
         X[:, model.n :] *= 2.0
         M, f = model.mass_and_forces(X)
         for k in range(5):
-            M_k, f_k = model.mass_and_forces(X[k])
+            M_k, f_k = model.one_state_forces()(X[k], X[k].tolist())
             np.testing.assert_array_equal(M[k], M_k)
             np.testing.assert_allclose(f[k], f_k, rtol=0.0, atol=1e-12 * np.abs(f_k).max())
 
@@ -659,6 +660,20 @@ class TestSimulate:
         with pytest.raises(dyn.SimulationError, match="residual norm"):
             dyn.static_equilibrium(model, np.array([0.2, 0.6, -1.0]))
 
+    @pytest.mark.parametrize("initial_elastic, stage", [("static", "static equilibrium"),
+                                                        ("zero", "settling window")])
+    def test_overflowing_payload_raises_simulation_error(self, tmp_path, initial_elastic,
+                                                         stage):
+        # a payload whose weight overflows: LAPACK fails in the Newton step
+        # of the static equilibrium or, from rest, in the vibration periods;
+        # simulate reports either as a SimulationError, not a LinAlgError
+        cfg = config.load_config(demo_config(tmp_path, **{
+            "robot.payload_mass": 1e300, "simulation.initial_elastic": initial_elastic}))
+        plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
+        with np.errstate(all="ignore"), pytest.raises(dyn.SimulationError, match=stage) as info:
+            dyn.simulate(cfg.design, plan, cfg.sim)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_linearized_periods_without_modes_raises(self, small_design):
         model = dyn.RobotModel(small_design)
         model.potential_hessian = lambda q: np.zeros((model.n, model.n))  # no stiffness at all
@@ -877,7 +892,7 @@ class TestMassAndForces:
         for k in range(Q.shape[0]):
             tol = 1e-13 * np.abs(f_ref[k]).max()
             np.testing.assert_allclose(f[k], f_ref[k], rtol=0.0, atol=tol)
-            M_k, f_k = model.mass_and_forces(X[k])
+            M_k, f_k = model.one_state_forces()(X[k], X[k].tolist())
             np.testing.assert_array_equal(M_k, M_ref[k])
             np.testing.assert_allclose(f_k, f_ref[k], rtol=0.0, atol=tol)
 
@@ -893,7 +908,7 @@ class TestMassAndForces:
         X[:, 6 : model.n] *= 1e-2
         M, f = model.mass_and_forces(X)
         for k, x in enumerate(X):
-            M_k, f_k = model.mass_and_forces(x)
+            M_k, f_k = model.one_state_forces()(x, x.tolist())
             assert M_k.tobytes() == M[k].tobytes() and f_k.tobytes() == f[k].tobytes(), k
 
     def test_infinite_angle_reads_nan_like_the_batch(self, model):
@@ -902,7 +917,7 @@ class TestMassAndForces:
         x = np.zeros(2 * model.n)
         x[4] = np.inf
         with np.errstate(invalid="ignore"):
-            M, f = model.mass_and_forces(x)
+            M, f = model.one_state_forces()(x, x.tolist())
             M_b, f_b = model.mass_and_forces(x[None])
         assert np.isnan(M).all()
         np.testing.assert_array_equal(M, M_b[0])
@@ -925,7 +940,7 @@ class TestMassAndForces:
         X[:, 6 : model.n] *= 1e-2
         M, f = model.mass_and_forces(X)
         for k, x in enumerate(X):
-            M_k, f_k = model.mass_and_forces(x)
+            M_k, f_k = model.one_state_forces()(x, x.tolist())
             if np.isnan(x[4]):
                 assert np.isnan(M_k).all() and np.isnan(M[k]).all()
             else:
@@ -1511,7 +1526,7 @@ class TestRhsFastPaths:
         for k in range(X.shape[0]):
             tol = 1e-13 * np.abs(ref[k]).max()
             np.testing.assert_allclose(batch[k], ref[k], rtol=0.0, atol=tol)
-            M_k, f_k = model.mass_and_forces(X[k])
+            M_k, f_k = model.one_state_forces()(X[k], X[k].tolist())
             single = solve(0.25, M_k, f_k)
             assert single.shape == f_k.shape
             np.testing.assert_allclose(single, numpy_mass_solve(0.25, M_k, f_k), rtol=0.0,
@@ -1684,7 +1699,7 @@ class TestRhsFastPaths:
         saturated = []
         for t in times:
             for y in Y:
-                M, f = model.mass_and_forces(y[: 2 * n])
+                M, f = model.one_state_forces()(y, y.tolist())
                 q_des, qd_des, _ = short_plan.sample(t)
                 tau, e_v = clip_law(gains, y[:3], y[n : n + 3], q_des, qd_des,
                                     y[2 * n :], lookup(t), model.tau_limit)
