@@ -254,7 +254,8 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
 def _write_sweep_stats(out: Path, outcome: SweepOutcome) -> None:
     """sweep_stats.json: each candidate's RUN_STATS (null where a stage did
     not run) and error, and their totals. Its times vary from run to run,
-    so it is no part of the reproducible outputs."""
+    so it is no part of the reproducible outputs. Written also when every
+    candidate failed."""
     candidates = [
         {"config": r.config, **{key: r.stats.get(key) for key in RUN_STATS}, "error": r.error}
         for r in outcome.results
@@ -272,7 +273,8 @@ def _write_sweep_stats(out: Path, outcome: SweepOutcome) -> None:
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Worker processes (default from config).")
 @click.option("--only-pareto-fatigue", is_flag=True, default=False,
-              help="Run the fatigue stage only for Pareto-front candidates.")
+              help="Report D_max and lifetime only for Pareto-front candidates "
+                   "(every candidate still runs its fatigue stage).")
 @click.option("--plot-cap-hours", type=click.FloatRange(min=0.0, min_open=True), default=3500.0,
               show_default=True, callback=_finite,
               help="Display ceiling for infinite lifetimes in plot CSV.")
@@ -286,8 +288,11 @@ def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
         jobs=jobs, only_pareto=(True if only_pareto_fatigue else None)
     )
     outcome = run_sweep(cfg.grid, cfg.design, plan, settings)
-    _write_sweep_outputs(out, outcome, plot_cap_hours)
     _write_sweep_stats(out, outcome)
+    if not outcome.front.ids:  # every candidate failed
+        raise SimulationError("all candidates failed; nothing to rank (candidate "
+                              f"{outcome.results[0].config}: {outcome.results[0].error})")
+    _write_sweep_outputs(out, outcome, plot_cap_hours)
     for r in outcome.failures:
         click.echo(f"warning: candidate {r.config} failed: {r.error}", err=True)
     click.echo(

@@ -55,7 +55,7 @@ class CandidateGrid:
 
 
 # a candidate's run record: its simulate's solver counts, presolve, solve and
-# postsolve seconds, then the seconds run_sweep spends in its candidate_lifetime
+# postsolve seconds, then the seconds its worker spends in candidate_lifetime
 SIM_STATS = ("nfev", "njev", "nlu", "steps", "presolve_s", "solve_s", "postsolve_s")
 RUN_STATS = SIM_STATS + ("lifetime_s",)
 
@@ -69,11 +69,11 @@ class CandidateResult:
     t2: float
     j_mass: float  # signed fraction, -1 < J_m
     j_vib: float  # m
-    d_max: float | None = None  # damage per task, None if fatigue stage skipped
+    d_max: float | None = None  # damage per task, None if not reported
     t_life_seconds: float | None = None  # inf for no-damage candidates
     error: str | None = None
     # run record, kept out of the reproducible result files: RUN_STATS (none
-    # if the simulation raised, no lifetime_s without the fatigue stage)
+    # if the simulation raised, no lifetime_s if the mass criterion raised)
     stats: dict[str, float] = field(default_factory=dict)
 
 
@@ -174,7 +174,7 @@ class SweepSettings:
 @dataclass
 class SweepOutcome:
     results: list[CandidateResult]
-    front: ParetoFront
+    front: ParetoFront  # empty if every candidate failed
     histories: dict[int, tuple[StressHistory, StressHistory]] = field(default_factory=dict)
 
     @property
@@ -226,16 +226,29 @@ def candidate_lifetime(
 
 
 def _evaluate_candidate(args):
-    t1, t2, base, plan, settings = args
+    """One candidate start to finish: its CandidateResult, lifetime and run
+    record included, and its stress histories if settings.keep_histories."""
+    config, t1, t2, base, reference, plan, settings = args
     design = base.with_thicknesses(t1, t2)
+    res = CandidateResult(config=config, t1=t1, t2=t2, j_mass=math.nan, j_vib=math.nan)
+    try:
+        res.j_mass = mass_criterion(design, reference)
+    except ValueError as exc:
+        res.error = f"{type(exc).__name__}: {exc}"
     try:
         result = simulate(design, plan, settings.sim)
         stats = {key: result.stats[key] for key in SIM_STATS}
         j_vib = vibration_criterion(result)
         histories = link_stress_histories(design, result)
-        return j_vib, histories, None, stats
     except (SimulationError, ValueError) as exc:  # LinAlgError is a ValueError
-        return math.nan, None, f"{type(exc).__name__}: {exc}", {}
+        res.error = f"{type(exc).__name__}: {exc}"  # the simulation's error wins
+        return res, None
+    res.j_vib, res.stats = j_vib, stats
+    if res.error is None:
+        start = time.perf_counter()
+        res.d_max, res.t_life_seconds = candidate_lifetime(histories, settings, plan.t_task)
+        res.stats["lifetime_s"] = time.perf_counter() - start
+    return res, histories if settings.keep_histories else None
 
 
 def run_sweep(
@@ -244,56 +257,33 @@ def run_sweep(
     plan: TrajectoryPlan,
     settings: SweepSettings,
 ) -> SweepOutcome:
-    """Simulate every candidate, rank the criteria and attach lifetimes.
+    """Evaluate every candidate, lifetime included, and rank the criteria.
 
-    Candidates are evaluated independently (optionally by a process pool);
-    results are reduced in configuration order, so the outcome does not
-    depend on the worker count. A candidate whose simulation fails
-    numerically (SimulationError or ValueError) is recorded as failed and
-    the sweep continues; any other exception propagates. SimulationError,
-    naming the first candidate's error, if every candidate fails.
+    Candidates are evaluated independently (optionally by a process pool),
+    in configuration order, so the outcome does not depend on the worker
+    count. A candidate whose simulation fails numerically (SimulationError
+    or ValueError) is recorded as failed; any other exception propagates.
+    The front is empty if every candidate failed. With only_pareto_fatigue
+    the candidates off the front report no D_max and no lifetime.
     """
     reference = base_design.with_thicknesses(*settings.reference)
-    cells = list(grid.candidates())
-    tasks = [(t1, t2, base_design, plan, settings) for _, t1, t2 in cells]
+    tasks = [(config, t1, t2, base_design, reference, plan, settings)
+             for config, t1, t2 in grid.candidates()]
     if settings.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(settings.jobs, len(tasks))) as pool:
-            raw = list(pool.map(_evaluate_candidate, tasks))
+            evaluated = list(pool.map(_evaluate_candidate, tasks))
     else:
-        raw = [_evaluate_candidate(t) for t in tasks]  # like pool.map, in task order
+        evaluated = [_evaluate_candidate(t) for t in tasks]  # like pool.map, in task order
 
-    results: list[CandidateResult] = []
-    histories: dict[int, tuple[StressHistory, StressHistory]] = {}
-    for (config, t1, t2), (j_vib, hists, err, stats) in zip(cells, raw):
-        design = base_design.with_thicknesses(t1, t2)
-        try:
-            j_mass = mass_criterion(design, reference)
-        except ValueError as exc:
-            j_mass = math.nan
-            err = err or f"{type(exc).__name__}: {exc}"
-        res = CandidateResult(config=config, t1=t1, t2=t2, j_mass=j_mass, j_vib=j_vib, error=err,
-                              stats=stats)
-        results.append(res)
-        if hists is not None:
-            histories[config] = hists
-
+    results = [res for res, _ in evaluated]
     ok = [r for r in results if r.error is None]
-    if not ok:
-        raise SimulationError("all candidates failed; nothing to rank (candidate "
-                              f"{results[0].config}: {results[0].error})")
-    front = pareto_front(ok)
-
-    fatigue_set = set(front.ids) if settings.only_pareto_fatigue else {r.config for r in ok}
-    for res in results:
-        if res.config in fatigue_set and res.config in histories:
-            start = time.perf_counter()
-            res.d_max, res.t_life_seconds = candidate_lifetime(
-                histories[res.config], settings, plan.t_task
-            )
-            res.stats["lifetime_s"] = time.perf_counter() - start
-    if not settings.keep_histories:
-        histories = {}
+    front = pareto_front(ok) if ok else ParetoFront(ids=())
+    if settings.only_pareto_fatigue:
+        for res in results:
+            if res.config not in front:
+                res.d_max = res.t_life_seconds = None
+    histories = {res.config: hists for res, hists in evaluated if hists is not None}
     return SweepOutcome(results=results, front=front, histories=histories)

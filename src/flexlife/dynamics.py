@@ -1126,126 +1126,129 @@ def simulate(
     tabulate raises ValueError."""
     t_start = time.perf_counter()
     settings = settings or SimSettings()
-    model = RobotModel(design)
-    n = model.n
-    q_pick = plan.q_pick
-    if q_pick.size != 3:
-        raise ValueError("the arm expects three joint coordinates")
+    # a failure raises SimulationError or ValueError; numpy's warnings only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = RobotModel(design)
+        n = model.n
+        q_pick = plan.q_pick
+        if q_pick.size != 3:
+            raise ValueError("the arm expects three joint coordinates")
 
-    controlled = settings.gains is not None
-    if settings.initial_elastic == "static" and np.any(model.gravity != 0.0):
-        q0, newton_steps = static_equilibrium(model, q_pick)
-    else:
-        q0 = np.zeros(n)
-        q0[:3] = q_pick
-        q0[3:6] = q_pick
-        newton_steps = 0
-    residual = float(np.linalg.norm(model.potential_grad(q0)[3:]))
+        controlled = settings.gains is not None
+        if settings.initial_elastic == "static" and np.any(model.gravity != 0.0):
+            q0, newton_steps = static_equilibrium(model, q_pick)
+        else:
+            q0 = np.zeros(n)
+            q0[:3] = q_pick
+            q0[3:6] = q_pick
+            newton_steps = 0
+        residual = float(np.linalg.norm(model.potential_grad(q0)[3:]))
 
-    t_settle = settings.t_settle
-    if t_settle is None:
-        try:
-            t_settle = 2.0 * float(np.max(linearized_periods(model, q0)))
-        except ValueError as exc:  # LinAlgError is a ValueError
-            raise SimulationError(f"settling window: vibration periods failed: {exc}") from exc
-    t_end = plan.t_task + t_settle
+        t_settle = settings.t_settle
+        if t_settle is None:
+            try:
+                t_settle = 2.0 * float(np.max(linearized_periods(model, q0)))
+            except ValueError as exc:  # LinAlgError is a ValueError
+                raise SimulationError(f"settling window: vibration periods failed: {exc}") from exc
+        t_end = plan.t_task + t_settle
 
-    n_int = 3 if controlled else 0
-    y0 = np.zeros(2 * n + n_int)
-    y0[:n] = q0
+        n_int = 3 if controlled else 0
+        y0 = np.zeros(2 * n + n_int)
+        y0[:n] = q0
 
-    feedforward = None  # t -> the feedforward torques as Python floats
-    if controlled:
-        gains = settings.gains
-        # preload the velocity integrator with the gravity-holding torque so
-        # the run starts without a droop transient
-        hold = model.k_gear * (q0[:3] - q0[3:6])
-        if gains.feedforward:
-            ts_ff, tau_ff = _feedforward_table(model, plan, t_end, 2e-3)
-            feedforward = _row_lookup(ts_ff, tau_ff)
-            hold = hold - tau_ff[0]
-        y0[2 * n :] = [h / ki if ki > 0.0 else 0.0 for h, ki in zip(hold.tolist(), gains.ki_vel)]
-        law = list(zip(gains.kp_pos, gains.kp_vel, gains.ki_vel, model.tau_limit.tolist()))
-        # the law reads q_M, qd_M and the integrators of a state
-        inputs = np.r_[0:3, n : n + 3, 2 * n : 2 * n + 3]
-
-    solve_mass = _mass_solver()
-    forces = model.one_state_forces()
-    reference = {}  # t -> (q_des, qd_des, tau_ff), for the last t only
-
-    def rhs(t, y):
-        # y is one state (N,), every f call of the solver, or states as rows
-        # (k, N) for its Jacobian; both run control_law on one state at a
-        # time, with the reference sampled once per t: VODE often calls f
-        # again, or its Jacobian, at the t of the call before
+        feedforward = None  # t -> the feedforward torques as Python floats
         if controlled:
-            if t not in reference:
-                reference.clear()
-                q_des, qd_des, _ = plan.sample_floats(t)
-                reference[t] = q_des, qd_des, None if feedforward is None else feedforward(t)
-            q_des, qd_des, tau_ff = reference[t]
-        if y.ndim == 1:
-            values = y.tolist()
-            M, force = forces(y, values)
-            if not controlled:
-                return np.concatenate((y[n:], solve_mass(t, M, force)))
-            tau, e_v = control_law(law, q_des, qd_des, tau_ff, values, n)
-            for j, tau_j in enumerate(tau):
-                force[j] += tau_j
-            return np.concatenate((y[n : 2 * n], solve_mass(t, M, force), e_v))
-        M, force = model.mass_and_forces(y[:, : 2 * n])
-        out = np.empty_like(y)
-        if controlled:
-            # the law runs on the rows whose inputs _own marks; the others
-            # take row 0's torques and rates. U holds each row's inputs as a
-            # state of 3 coordinates: (q_M, qd_M, x)
-            U = y[:, inputs]
-            own, source = _own(U)
-            laws = np.array([control_law(law, q_des, qd_des, tau_ff, u, 3)
-                             for u in U[own].tolist()])[source]
-            force[:, :3] += laws[:, 0]
-            out[:, 2 * n :] = laws[:, 1]
-        out[:, :n] = y[:, n : 2 * n]
-        out[:, n : 2 * n] = solve_mass(t, M, force)
-        return out
+            gains = settings.gains
+            # preload the velocity integrator with the gravity-holding torque so
+            # the run starts without a droop transient
+            hold = model.k_gear * (q0[:3] - q0[3:6])
+            if gains.feedforward:
+                ts_ff, tau_ff = _feedforward_table(model, plan, t_end, 2e-3)
+                feedforward = _row_lookup(ts_ff, tau_ff)
+                hold = hold - tau_ff[0]
+            y0[2 * n :] = [h / ki if ki > 0.0 else 0.0
+                           for h, ki in zip(hold.tolist(), gains.ki_vel)]
+            law = list(zip(gains.kp_pos, gains.kp_vel, gains.ki_vel, model.tau_limit.tolist()))
+            # the law reads q_M, qd_M and the integrators of a state
+            inputs = np.r_[0:3, n : n + 3, 2 * n : 2 * n + 3]
 
-    dt = 1.0 / settings.sample_rate
-    ts = np.arange(0.0, t_end + 0.5 * dt, dt)
-    ts[-1] = min(ts[-1], t_end)
-    t_solve = time.perf_counter()
-    sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=ts, rtol=settings.rtol, atol=settings.atol)
-    t_post = time.perf_counter()
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else 0.0
-        raise SimulationError(f"integration failed at t={t_fail:.6f}: {sol.message}", t_fail)
-    Y = sol.y.T
-    if not np.all(np.isfinite(Y)):
-        raise SimulationError("non-finite state in the solution")
+        solve_mass = _mass_solver()
+        forces = model.one_state_forces()
+        reference = {}  # t -> (q_des, qd_des, tau_ff), for the last t only
 
-    q_hist = Y[:, :n]
-    qd_hist = Y[:, n : 2 * n]
-    kappa1 = q_hist[:, model.sl1] @ model.curv1.T
-    kappa2 = q_hist[:, model.sl2] @ model.curv2.T
-    dr_ee = model.ee_deviation(q_hist)
+        def rhs(t, y):
+            # y is one state (N,), every f call of the solver, or states as rows
+            # (k, N) for its Jacobian; both run control_law on one state at a
+            # time, with the reference sampled once per t: VODE often calls f
+            # again, or its Jacobian, at the t of the call before
+            if controlled:
+                if t not in reference:
+                    reference.clear()
+                    q_des, qd_des, _ = plan.sample_floats(t)
+                    reference[t] = q_des, qd_des, None if feedforward is None else feedforward(t)
+                q_des, qd_des, tau_ff = reference[t]
+            if y.ndim == 1:
+                values = y.tolist()
+                M, force = forces(y, values)
+                if not controlled:
+                    return np.concatenate((y[n:], solve_mass(t, M, force)))
+                tau, e_v = control_law(law, q_des, qd_des, tau_ff, values, n)
+                for j, tau_j in enumerate(tau):
+                    force[j] += tau_j
+                return np.concatenate((y[n : 2 * n], solve_mass(t, M, force), e_v))
+            M, force = model.mass_and_forces(y[:, : 2 * n])
+            out = np.empty_like(y)
+            if controlled:
+                # the law runs on the rows whose inputs _own marks; the others
+                # take row 0's torques and rates. U holds each row's inputs as a
+                # state of 3 coordinates: (q_M, qd_M, x)
+                U = y[:, inputs]
+                own, source = _own(U)
+                laws = np.array([control_law(law, q_des, qd_des, tau_ff, u, 3)
+                                 for u in U[own].tolist()])[source]
+                force[:, :3] += laws[:, 0]
+                out[:, 2 * n :] = laws[:, 1]
+            out[:, :n] = y[:, n : 2 * n]
+            out[:, n : 2 * n] = solve_mass(t, M, force)
+            return out
 
-    return SimulationResult(
-        times=ts,
-        q=q_hist,
-        qd=qd_hist,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        dr_ee=dr_ee,
-        t_task=plan.t_task,
-        t_settle=t_settle,
-        stats={
-            "nfev": sol.nfev,
-            "njev": sol.njev,
-            "nlu": sol.nlu,
-            "steps": sol.nst,
-            "equilibrium_residual": residual,
-            "equilibrium_iterations": newton_steps,
-            "presolve_s": t_solve - t_start,
-            "solve_s": t_post - t_solve,
-            "postsolve_s": time.perf_counter() - t_post,
-        },
-    )
+        dt = 1.0 / settings.sample_rate
+        ts = np.arange(0.0, t_end + 0.5 * dt, dt)
+        ts[-1] = min(ts[-1], t_end)
+        t_solve = time.perf_counter()
+        sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=ts, rtol=settings.rtol, atol=settings.atol)
+        t_post = time.perf_counter()
+        if not sol.success:
+            t_fail = float(sol.t[-1]) if sol.t.size else 0.0
+            raise SimulationError(f"integration failed at t={t_fail:.6f}: {sol.message}", t_fail)
+        Y = sol.y.T
+        if not np.all(np.isfinite(Y)):
+            raise SimulationError("non-finite state in the solution")
+
+        q_hist = Y[:, :n]
+        qd_hist = Y[:, n : 2 * n]
+        kappa1 = q_hist[:, model.sl1] @ model.curv1.T
+        kappa2 = q_hist[:, model.sl2] @ model.curv2.T
+        dr_ee = model.ee_deviation(q_hist)
+
+        return SimulationResult(
+            times=ts,
+            q=q_hist,
+            qd=qd_hist,
+            kappa1=kappa1,
+            kappa2=kappa2,
+            dr_ee=dr_ee,
+            t_task=plan.t_task,
+            t_settle=t_settle,
+            stats={
+                "nfev": sol.nfev,
+                "njev": sol.njev,
+                "nlu": sol.nlu,
+                "steps": sol.nst,
+                "equilibrium_residual": residual,
+                "equilibrium_iterations": newton_steps,
+                "presolve_s": t_solve - t_start,
+                "solve_s": t_post - t_solve,
+                "postsolve_s": time.perf_counter() - t_post,
+            },
+        )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flexlife.cli import main
+from flexlife.cli import _fmt, main
 from flexlife.config import ConfigError, load_config
 from tests.conftest import DEMO_CONFIG, demo_config, fast_config
 
@@ -50,25 +50,34 @@ FAILING_DEMOS = {
 @pytest.mark.parametrize("case", list(FAILING_DEMOS))
 class TestNumericalFailureExits:
     def test_simulate(self, runner, tmp_path, case):
+        # numpy's overflow warnings, raised as errors, would end the run with
+        # exit 1: simulate must not let them reach the warnings module
         overrides, code, message = FAILING_DEMOS[case]
         cfg = demo_config(tmp_path, **overrides)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+            warnings.simplefilter("error", RuntimeWarning)
             result = runner.invoke(main, ["simulate", "--config", str(cfg),
                                           "--out-dir", str(tmp_path / "out")])
         assert_error_exit(result, code, message)
+        assert len(result.stderr.splitlines()) == 1, result.stderr
 
     def test_sweep_of_one_cell(self, runner, tmp_path, case):
-        # every candidate fails, which is a numerical failure of the sweep
+        # every candidate fails, which is a numerical failure of the sweep;
+        # the run record is still written, the reproducible outputs are not
         overrides, _, message = FAILING_DEMOS[case]
         cfg = demo_config(tmp_path, **overrides, **{"sweep.t1_values": [0.004],
                                                     "sweep.t2_values": [0.004]})
+        out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = runner.invoke(main, ["sweep", "--config", str(cfg),
-                                          "--out-dir", str(tmp_path / "out")])
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out)])
         assert_error_exit(result, 3, "all candidates failed")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
         assert "(candidate 1: " in result.stderr and message in result.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_stats.json"]
+        stats = json.loads((out / "sweep_stats.json").read_text())
+        assert message in stats["candidates"][0]["error"]
+        assert stats["totals"]["errors"] == 1
 
 
 class TestConfigValidation:
@@ -545,10 +554,18 @@ class TestSweepCommand:
             return simulate(d, plan, sim)
 
         monkeypatch.setattr(design, "simulate", failing_thick_wall)
-        cfg = fast_config(tmp_path, **{"sweep.t1_values": [0.001, 0.002, 0.004]})
+        # candidate 3 is no reference design, so its J_m is not 0
+        cfg = fast_config(tmp_path, **{"sweep.t1_values": [0.001, 0.002, 0.005]})
         out = tmp_path / "out"
         result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
+        # the failed candidate keeps its mass criterion; its J_vib is nan
+        loaded = load_config(cfg)
+        jm = design.mass_criterion(loaded.design.with_thicknesses(0.005, loaded.grid.t2_values[0]),
+                                   loaded.design.with_thicknesses(*loaded.reference))
+        row = (out / "sweep_results.csv").read_text().splitlines()[3].split(",")
+        assert row[:5] == ["3", "5.0", "4.0", _fmt(jm * 100.0), "nan"], row
+        assert jm > 0.0
         stats = json.loads((out / "sweep_stats.json").read_text())
         keys = ["nfev", "njev", "nlu", "steps", "presolve_s", "solve_s", "postsolve_s",
                 "lifetime_s"]
@@ -566,8 +583,9 @@ class TestSweepCommand:
 
     def test_sweep_stats_lifetime_only_where_the_stage_ran(self, runner, tmp_path,
                                                           monkeypatch):
-        # with --only-pareto-fatigue a candidate off the front has no
-        # lifetime stage: its lifetime_s is null and the total skips it
+        # every successful candidate runs its fatigue stage in its worker,
+        # --only-pareto-fatigue or not: each has a lifetime_s and the total
+        # sums them all
         from flexlife import design
 
         monkeypatch.setattr(design, "pareto_front", lambda ok: design.ParetoFront((1, 3)))
@@ -580,10 +598,59 @@ class TestSweepCommand:
         stats = json.loads((out / "sweep_stats.json").read_text())
         assert front == [1, 3]
         for c in stats["candidates"]:
-            assert c["error"] is None and c["presolve_s"] > 0.0
-            assert (c["lifetime_s"] is not None) == (c["config"] in front)
-        lifetimes = [c["lifetime_s"] for c in stats["candidates"] if c["config"] in front]
+            assert c["error"] is None and c["presolve_s"] > 0.0 and c["lifetime_s"] > 0.0
+        lifetimes = [c["lifetime_s"] for c in stats["candidates"]]
         assert stats["totals"]["lifetime_s"] == sum(lifetimes)
+
+    def test_only_pareto_fatigue_blanks_only_off_front_lifetimes(self, runner, tmp_path):
+        # the flag filters the report: pareto.json and the front's rows are
+        # the same bytes as without it, and the rows off the front differ
+        # only in their empty Dmax and lifetime_h cells
+        cfg = fast_config(tmp_path, **{"sweep.t1_values": [0.001, 0.002, 0.004],
+                                       "sweep.t2_values": [0.001, 0.004]})
+        outs = {}
+        for name, flag in (("all", []), ("front", ["--only-pareto-fatigue"])):
+            outs[name] = tmp_path / name
+            result = runner.invoke(main, ["sweep", "--config", str(cfg),
+                                          "--out-dir", str(outs[name]), *flag])
+            assert result.exit_code == 0, result.output
+        assert ((outs["all"] / "pareto.json").read_bytes()
+                == (outs["front"] / "pareto.json").read_bytes())
+        front = json.loads((outs["all"] / "pareto.json").read_text())["front"]
+        assert front == [1, 2, 3, 6]  # 4 and 5 are dominated by 1 and 2
+        every, filtered = ((outs[name] / "sweep_results.csv").read_text().splitlines()
+                           for name in ("all", "front"))
+        assert every[0] == filtered[0] and len(every) == len(filtered) == 7
+        for full, row in zip(every[1:], filtered[1:]):
+            if int(row.split(",")[0]) in front:
+                assert row == full
+            else:
+                cells = full.split(",")
+                assert cells[5] and cells[6]
+                assert row.split(",") == cells[:5] + ["", ""]
+
+    def test_all_failed_names_the_first_candidate(self, runner, tmp_path, monkeypatch):
+        # nothing to rank: exit 3 names the first candidate's error, and the
+        # run record names every candidate's; no reproducible output
+        from flexlife import design
+        from flexlife.dynamics import SimulationError
+
+        def failing(d, plan, sim):
+            raise SimulationError(f"integration failed for t1={d.links[0].wall_thickness}")
+
+        monkeypatch.setattr(design, "simulate", failing)
+        cfg = fast_config(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out)])
+        assert_error_exit(result, 3, "all candidates failed")
+        assert "(candidate 1: SimulationError: integration failed for t1=0.001)" in result.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_stats.json"]
+        stats = json.loads((out / "sweep_stats.json").read_text())
+        assert [(c["config"], c["error"]) for c in stats["candidates"]] == [
+            (1, "SimulationError: integration failed for t1=0.001"),
+            (2, "SimulationError: integration failed for t1=0.004"),
+        ]
+        assert stats["totals"]["errors"] == 2
 
     def test_empty_grid_is_config_error(self, runner, tmp_path):
         cfg = fast_config(tmp_path, **{"sweep.t1_values": []})

@@ -260,15 +260,15 @@ class TestRunSweep:
                 short_plan.t_task, rel=1e-12
             )
 
-    def test_all_failed_names_the_first_candidate(self, small_design, short_plan,
-                                                  sweep_settings):
-        # 20 and 25 mm walls are geometrically invalid (2t >= a): nothing to
-        # rank, and the error says why the first candidate failed
+    def test_all_failed_ranks_nothing(self, small_design, short_plan, sweep_settings):
+        # 20 and 25 mm walls are geometrically invalid (2t >= a): the outcome
+        # has an empty front and every candidate's error, for the caller to
+        # record before it reports the failure
         grid = dsg.CandidateGrid(t1_values=(20 * MM, 25 * MM), t2_values=(2 * MM,))
-        with pytest.raises(dyn.SimulationError, match="all candidates failed") as info:
-            dsg.run_sweep(grid, small_design, short_plan, sweep_settings)
-        assert isinstance(info.value, RuntimeError)
-        assert "(candidate 1: ValueError: " in str(info.value)
+        outcome = dsg.run_sweep(grid, small_design, short_plan, sweep_settings)
+        assert outcome.front.ids == ()
+        assert outcome.failures == outcome.results and len(outcome.results) == 2
+        assert all(r.error.startswith("ValueError: ") for r in outcome.results)
 
     def test_programming_error_propagates(
         self, small_design, short_plan, sweep_settings, monkeypatch
