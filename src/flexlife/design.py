@@ -162,7 +162,7 @@ class SweepSettings:
     keep_histories: bool = False
 
     def __post_init__(self):
-        if self.hysteresis_gate < 0.0:
+        if not self.hysteresis_gate >= 0.0:  # NaN fails too
             raise ValueError(f"hysteresis_gate must be >= 0, got {self.hysteresis_gate}")
         for name, most in (("n_angles", MAX_ANGLES), ("n_mean_bins", MAX_BINS),
                            ("n_amp_bins", MAX_BINS)):

@@ -135,10 +135,14 @@ def extract_extrema(times, sigma, hysteresis_gate: float = 0.0) -> ExtremaSeries
     """Reduce a sampled history to alternating extrema.
 
     The sample times must be finite and never decrease; they are checked,
-    not kept. Endpoints are retained; interior points survive only as
-    strict local extrema. With a positive gate, oscillations of range below
-    the gate are removed (smallest first) before counting.
+    not kept. Interior points survive only as strict local extrema. A
+    positive gate removes every range below it, smallest first, with both
+    its points, or only its far end at the first or last point; equal
+    endpoints then merge into one point. One stack pass, like the ASTM
+    loop's, finds these extrema in linear time.
     """
+    if not hysteresis_gate >= 0.0:
+        raise ValueError(f"hysteresis gate must be >= 0, got {hysteresis_gate}")
     sigma = np.asarray(sigma, dtype=float)
     times = np.asarray(times, dtype=float)
     if sigma.ndim != 1 or sigma.size == 0:
@@ -150,20 +154,14 @@ def extract_extrema(times, sigma, hysteresis_gate: float = 0.0) -> ExtremaSeries
         raise ValueError("stress history contains non-finite values")
     v = _alternating(sigma)
     if hysteresis_gate > 0.0:
-        while v.size > 2:  # both endpoints are always retained
-            ranges = np.abs(np.diff(v))
-            k = int(np.argmin(ranges))
-            if ranges[k] >= hysteresis_gate:
-                break
-            if k == 0:
-                v = np.delete(v, 1)
-            elif k == v.size - 2:
-                v = np.delete(v, v.size - 2)
-            else:
-                sel = np.ones(v.size, dtype=bool)
-                sel[k : k + 2] = False
-                v = v[sel]
-            v = _alternating(v)
+        gate, s = hysteresis_gate, []
+        for x in v.tolist():
+            s.append(x)
+            while len(s) >= 3 and gate > abs(s[-2] - s[-3]) <= abs(x - s[-2]):
+                del s[max(len(s) - 3, 1) : -1]  # keep the first point
+        while len(s) >= 3 and gate > abs(s[-1] - s[-2]) <= abs(s[-2] - s[-3]):
+            del s[-2]
+        v = _alternating(np.array(s))  # merges equal endpoints
     return ExtremaSeries(v)
 
 

@@ -138,10 +138,6 @@ class TrajectoryPlan:
     def q_pick(self) -> np.ndarray:
         return np.array([p.q0 for p in self._profiles])
 
-    @property
-    def q_place(self) -> np.ndarray:
-        return np.array([p.q1 for p in self._profiles])
-
     def sample_floats(self, t: float) -> tuple[list[float], list[float], list[float]]:
         """Desired (q_d, qd_d, qdd_d) at time t, clamped to [0, t_task], as
         lists of Python floats, one per joint."""

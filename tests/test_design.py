@@ -232,6 +232,15 @@ def test_settings_count_bounds(sweep_settings, name, most):
             dataclasses.replace(sweep_settings, **{name: bad})
 
 
+def test_settings_hysteresis_gate(sweep_settings):
+    for good in (0.0, 2e6, np.inf):
+        assert dataclasses.replace(sweep_settings, hysteresis_gate=good).hysteresis_gate == good
+    # a NaN gate was once accepted and then worked as no gate
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="hysteresis_gate must be >= 0"):
+            dataclasses.replace(sweep_settings, hysteresis_gate=bad)
+
+
 class TestRunSweep:
     def test_reference_only_grid(self, small_design, short_plan, sweep_settings):
         grid = dsg.CandidateGrid(t1_values=(4 * MM,), t2_values=(4 * MM,))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexlife import rainflow
 from flexlife.rainflow import (
     CycleSet,
     ExtremaSeries,
@@ -18,6 +19,7 @@ from flexlife.rainflow import (
     count_cycles,
     extract_extrema,
 )
+from flexlife.stress import StressHistory, tresca_history
 
 # the classic nine-extrema demo history (MPa)
 DEMO = np.array([-2.0, 1.0, -3.0, 5.0, -1.0, 3.0, -4.0, 4.0, -2.0])
@@ -573,3 +575,115 @@ class TestAlternating:
     def test_never_a_view_of_the_input(self, values):
         x = np.asarray(values, dtype=float)
         assert not np.shares_memory(_alternating(x), x)
+
+
+def former_gated_extrema(sigma, gate):
+    """The former gate of extract_extrema, which removed the smallest
+    range and rescanned the whole series after each removal: the oracle
+    of TestHysteresisGateMatchesFormerLoop."""
+    v = _alternating(np.asarray(sigma, dtype=float))
+    if gate > 0.0:
+        while v.size > 2:  # both endpoints are always retained
+            ranges = np.abs(np.diff(v))
+            k = int(np.argmin(ranges))
+            if ranges[k] >= gate:
+                break
+            if k == 0:
+                v = np.delete(v, 1)
+            elif k == v.size - 2:
+                v = np.delete(v, v.size - 2)
+            else:
+                sel = np.ones(v.size, dtype=bool)
+                sel[k : k + 2] = False
+                v = v[sel]
+            v = _alternating(v)
+    return v
+
+
+@st.composite
+def series_and_gate(draw, values):
+    """A history and a positive gate: often one of its own ranges, so
+    that ranges equal to the gate occur, sometimes inf."""
+    sig = np.array(draw(values), dtype=float)
+    ranges = np.abs(np.diff(sig))
+    ranges = ranges[ranges > 0.0].tolist()
+    gate = draw(st.one_of(
+        st.sampled_from(ranges or [1.0]),
+        st.floats(min_value=1e-3, max_value=4e9),
+        st.just(np.inf),
+    ))
+    return sig, gate
+
+
+class TestHysteresisGateMatchesFormerLoop:
+    """The one-pass gate against the former smallest-first loop;
+    tolerance 0 (the same extrema, value for value)."""
+
+    @staticmethod
+    def assert_same(sig, gate):
+        sig = np.asarray(sig, dtype=float)
+        got = extract_extrema(np.arange(float(sig.size)), sig, gate).values
+        assert np.array_equal(got, former_gated_extrema(sig, gate))
+
+    @given(series_and_gate(st.lists(st.integers(-4, 4), min_size=1, max_size=120)))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_integer_series(self, case):
+        # few levels: plateaus and equal ranges everywhere
+        self.assert_same(*case)
+
+    @given(series_and_gate(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=120)))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_float_histories(self, case):
+        self.assert_same(*case)
+
+    def test_random_walks(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 500))
+            scale = float(rng.choice([1.0, 0.5, 1e-300, 1e300]))
+            sig = rng.integers(-3, 4, n).cumsum() * scale
+            self.assert_same(sig, float(rng.choice([0.5, 1.0, 2.0, 3.0, 7.0, np.inf])) * scale)
+
+    @pytest.mark.parametrize("sig, gate, want", [
+        ([0.5, 0.0, 0.5], 5.0, [0.5]),  # equal endpoints merge into one point
+        ([0.0, 4.0, 3.0, 7.0, 6.0, 9.0], 2.0, [0.0, 9.0]),
+        (np.linspace(-1.0, 2.0, 50), np.inf, [-1.0, 2.0]),  # a monotone ramp
+        (np.full(5, 3.3), 1.0, [3.3]),  # a constant signal
+        ([1.0, 2.0], 5.0, [1.0, 2.0]),  # one range is never removed
+        ([0.0, 10.0, 9.0, 10.0, -5.0], 2.0, [0.0, 10.0, -5.0]),
+    ], ids=["equal-ends", "steps", "ramp", "constant", "one-range", "inner"])
+    def test_fixed_cases(self, sig, gate, want):
+        got = extract_extrema(np.arange(float(len(sig))), sig, gate).values
+        assert got.tolist() == want
+        self.assert_same(sig, gate)
+
+    @pytest.mark.parametrize("variant", [1, 3])
+    @pytest.mark.parametrize("gate", [0.5e6, 2e6])
+    def test_benchmark_records(self, workloads, variant, gate):
+        # the Tresca history of the first 5,000 samples of a benchmark
+        # record; the gates leave from 4 to about 1,500 extrema
+        t, sxx, sxy = (x[:5000] for x in workloads.make_record(variant))
+        sig = tresca_history(StressHistory(t, sxx, sxy), 0.5)
+        want = former_gated_extrema(sig, gate)
+        assert 4 <= want.size <= 1500
+        assert np.array_equal(extract_extrema(t, sig, gate).values, want)
+
+    def test_one_pass(self, monkeypatch):
+        # the former loop called _alternating once per removal: 2,877
+        # times here
+        calls = []
+
+        def counted(values):
+            calls.append(values.size)
+            return _alternating(values)
+
+        monkeypatch.setattr(rainflow, "_alternating", counted)
+        sig = np.random.default_rng(43).normal(size=20_000).cumsum()
+        extract_extrema(np.arange(sig.size, dtype=float), sig, 1.0)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("gate", [-1.0, -np.inf, np.nan])
+    def test_bad_gate_rejected(self, gate):
+        # a NaN or negative gate once worked as no gate
+        with pytest.raises(ValueError, match="hysteresis gate must be >= 0"):
+            extract_extrema(np.arange(3.0), [0.0, 1.0, 0.0], gate)
