@@ -79,9 +79,9 @@ class Material:
     nu: float  # -
 
     def __post_init__(self):
-        for name in ("rho", "E"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("rho", "E"):  # written so that NaN fails too
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not (0.0 <= self.nu < 0.5):
             raise ValueError(f"nu (Poisson ratio) must lie in [0, 0.5), got {self.nu}")
 
@@ -102,8 +102,8 @@ class BeamSpec:
     n_theta: int = 1
 
     def __post_init__(self):
-        if self.L <= 0.0:
-            raise ValueError("beam length must be positive")
+        if not 0.0 < self.L < math.inf:  # NaN fails too
+            raise ValueError(f"beam length must be positive and finite, got {self.L}")
         if min(self.n_v, self.n_w, self.n_theta) < 1:
             raise ValueError("shape-function counts must be >= 1")
         most = max(self.n_v, self.n_w, self.n_theta)

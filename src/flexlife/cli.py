@@ -29,6 +29,8 @@ from .trajectory import plan_joint_move
 
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+# pareto_points.csv's display ceiling for lifetimes, infinite ones included
+PLOT_CAP_HOURS = 3500.0
 
 
 def _fmt(x) -> str:
@@ -194,7 +196,7 @@ def _life_cell(res: CandidateResult) -> str:
     return _fmt(res.t_life_seconds / 3600.0)
 
 
-def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> None:
+def _write_sweep_outputs(out: Path, outcome: SweepOutcome) -> None:
     with open(out / "sweep_results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "t1_mm", "t2_mm", "Jm_percent", "Jvib_m", "Dmax", "lifetime_h"])
@@ -206,6 +208,7 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
                 _life_cell(r),
             ])
 
+    # every point of pareto.json and pareto_points.csv succeeded, so it has a lifetime
     front_points = [r for r in outcome.results if r.config in outcome.front]
     payload = {
         "front": list(outcome.front.ids),
@@ -217,13 +220,9 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
                 "Jm_percent": r.j_mass * 100.0,
                 "Jvib_m": r.j_vib,
                 "Dmax": r.d_max,
-                "finite_life": (None if r.t_life_seconds is None
-                                else math.isfinite(r.t_life_seconds)),
-                "lifetime_h": (
-                    None
-                    if r.t_life_seconds is None or math.isinf(r.t_life_seconds)
-                    else r.t_life_seconds / 3600.0
-                ),
+                "finite_life": math.isfinite(r.t_life_seconds),
+                "lifetime_h": (r.t_life_seconds / 3600.0 if math.isfinite(r.t_life_seconds)
+                               else None),
             }
             for r in front_points
         ],
@@ -241,13 +240,10 @@ def _write_sweep_outputs(out: Path, outcome: SweepOutcome, cap_hours: float) -> 
         for r in outcome.results:
             if r.error is not None:
                 continue
-            if r.t_life_seconds is None:
-                life = ""
-            else:
-                life = _fmt(min(r.t_life_seconds / 3600.0, cap_hours))
             writer.writerow([
                 r.config, _fmt(r.j_mass * 100.0), _fmt(r.j_vib),
-                int(r.config in outcome.front), life,
+                int(r.config in outcome.front),
+                _fmt(min(r.t_life_seconds / 3600.0, PLOT_CAP_HOURS)),
             ])
 
 
@@ -272,27 +268,18 @@ def _write_sweep_stats(out: Path, outcome: SweepOutcome) -> None:
 @click.option("--out-dir", type=click.Path(), default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Worker processes (default from config).")
-@click.option("--only-pareto-fatigue", is_flag=True, default=False,
-              help="Report D_max and lifetime only for Pareto-front candidates "
-                   "(every candidate still runs its fatigue stage).")
-@click.option("--plot-cap-hours", type=click.FloatRange(min=0.0, min_open=True), default=3500.0,
-              show_default=True, callback=_finite,
-              help="Display ceiling for infinite lifetimes in plot CSV.")
-def cmd_sweep(config_path, out_dir, jobs, only_pareto_fatigue, plot_cap_hours):
+def cmd_sweep(config_path, out_dir, jobs):
     """Evaluate the full thickness grid and extract the Pareto front."""
     cfg = load_config(config_path)
     out = Path(out_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
-    settings = cfg.sweep_settings(
-        jobs=jobs, only_pareto=(True if only_pareto_fatigue else None)
-    )
-    outcome = run_sweep(cfg.grid, cfg.design, plan, settings)
+    outcome = run_sweep(cfg.grid, cfg.design, plan, cfg.sweep_settings(jobs=jobs))
     _write_sweep_stats(out, outcome)
     if not outcome.front.ids:  # every candidate failed
         raise SimulationError("all candidates failed; nothing to rank (candidate "
                               f"{outcome.results[0].config}: {outcome.results[0].error})")
-    _write_sweep_outputs(out, outcome, plot_cap_hours)
+    _write_sweep_outputs(out, outcome)
     for r in outcome.failures:
         click.echo(f"warning: candidate {r.config} failed: {r.error}", err=True)
     click.echo(

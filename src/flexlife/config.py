@@ -127,16 +127,13 @@ class RunConfig:
     grid: CandidateGrid
     reference: tuple[float, float]
     jobs: int
-    only_pareto_fatigue: bool
     output_dir: str = "out"
 
-    def sweep_settings(self, jobs: int | None = None, only_pareto: bool | None = None,
+    def sweep_settings(self, jobs: int | None = None,
                        keep_histories: bool = False) -> SweepSettings:
         kw = {name: getattr(self, name) for name in _SWEEP_FIELDS}
         if jobs is not None:
             kw["jobs"] = jobs
-        if only_pareto is not None:
-            kw["only_pareto_fatigue"] = only_pareto
         return SweepSettings(**kw, keep_histories=keep_histories)
 
 
@@ -258,6 +255,9 @@ def _build_config(raw: dict) -> RunConfig:
     sim = _build(SimSettings, "simulation", gains=gains, **sim_kw)
 
     sweep = top.pop("sweep")
+    if sweep.pop("only_pareto_fatigue", False):  # a retired report filter; false loads
+        raise ConfigError("sweep.only_pareto_fatigue: only false is accepted; "
+                          "every lifetime is now reported")
     for key in ("t1_values", "t2_values", "reference"):
         for i, t in enumerate(sweep[key]):
             _check_wall(design, f"sweep.{key}[{i}]", t)

@@ -36,8 +36,8 @@ class CandidateGrid:
             values = tuple(float(t) for t in getattr(self, name))
             if not values:
                 raise ValueError("thickness grids must not be empty")
-            if min(values) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {min(values)}")
+            if not all(0.0 < t < math.inf for t in values):  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {values}")
             object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
@@ -69,11 +69,12 @@ class CandidateResult:
     t2: float
     j_mass: float  # signed fraction, -1 < J_m
     j_vib: float  # m
-    d_max: float | None = None  # damage per task, None if not reported
+    d_max: float | None = None  # damage per task, None only if the candidate failed
     t_life_seconds: float | None = None  # inf for no-damage candidates
     error: str | None = None
-    # run record, kept out of the reproducible result files: RUN_STATS (none
-    # if the simulation raised, no lifetime_s if the mass criterion raised)
+    # run record, kept out of the reproducible result files: RUN_STATS (only
+    # the stages reached if the simulation raised, no lifetime_s if a
+    # criterion raised)
     stats: dict[str, float] = field(default_factory=dict)
 
 
@@ -158,7 +159,6 @@ class SweepSettings:
     hysteresis_gate: float = 0.0
     include_residue: bool = True
     jobs: int = 1
-    only_pareto_fatigue: bool = False
     keep_histories: bool = False
 
     def __post_init__(self):
@@ -237,13 +237,14 @@ def _evaluate_candidate(args):
         res.error = f"{type(exc).__name__}: {exc}"
     try:
         result = simulate(design, plan, settings.sim)
-        stats = {key: result.stats[key] for key in SIM_STATS}
+        res.stats = {key: result.stats[key] for key in SIM_STATS}
         j_vib = vibration_criterion(result)
         histories = link_stress_histories(design, result)
     except (SimulationError, ValueError) as exc:  # LinAlgError is a ValueError
+        res.stats = getattr(exc, "stats", res.stats)  # a SimulationError's stages
         res.error = f"{type(exc).__name__}: {exc}"  # the simulation's error wins
         return res, None
-    res.j_vib, res.stats = j_vib, stats
+    res.j_vib = j_vib
     if res.error is None:
         start = time.perf_counter()
         res.d_max, res.t_life_seconds = candidate_lifetime(histories, settings, plan.t_task)
@@ -263,8 +264,7 @@ def run_sweep(
     in configuration order, so the outcome does not depend on the worker
     count. A candidate whose simulation fails numerically (SimulationError
     or ValueError) is recorded as failed; any other exception propagates.
-    The front is empty if every candidate failed. With only_pareto_fatigue
-    the candidates off the front report no D_max and no lifetime.
+    The front is empty if every candidate failed.
     """
     reference = base_design.with_thicknesses(*settings.reference)
     tasks = [(config, t1, t2, base_design, reference, plan, settings)
@@ -281,9 +281,5 @@ def run_sweep(
     results = [res for res, _ in evaluated]
     ok = [r for r in results if r.error is None]
     front = pareto_front(ok) if ok else ParetoFront(ids=())
-    if settings.only_pareto_fatigue:
-        for res in results:
-            if res.config not in front:
-                res.d_max = res.t_life_seconds = None
     histories = {res.config: hists for res, hists in evaluated if hists is not None}
     return SweepOutcome(results=results, front=front, histories=histories)

@@ -43,6 +43,7 @@ integrates loads scipy, and it loads little of it.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -85,7 +86,8 @@ GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
 
 
 class SimulationError(RuntimeError):
-    """Raised when the integrator fails or produces non-finite states."""
+    """Raised when the integrator fails or produces non-finite states. One
+    raised in simulate carries ``stats``: the seconds of the stages reached."""
 
     def __init__(self, message: str, t_failure: float | None = None):
         super().__init__(message)
@@ -1117,6 +1119,18 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
     )
 
 
+@contextlib.contextmanager
+def _failure_stages(marks: list[float]):
+    """Give a SimulationError raised inside the seconds of the stages whose
+    starts marks holds: presolve_s, and solve_s once the solve has started."""
+    try:
+        yield
+    except SimulationError as exc:
+        ends = [*marks[1:], time.perf_counter()]
+        exc.stats = dict(zip(("presolve_s", "solve_s"), (b - a for a, b in zip(marks, ends))))
+        raise
+
+
 def simulate(
     design: RobotDesign, plan: TrajectoryPlan, settings: SimSettings | None = None
 ) -> SimulationResult:
@@ -1124,10 +1138,10 @@ def simulate(
     settling window, with outputs on a uniform grid. Every numerical
     failure raises SimulationError; a design that RobotModel cannot
     tabulate raises ValueError."""
-    t_start = time.perf_counter()
+    marks = [time.perf_counter()]  # the start of each stage reached
     settings = settings or SimSettings()
     # a failure raises SimulationError or ValueError; numpy's warnings only add noise
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _failure_stages(marks):
         model = RobotModel(design)
         n = model.n
         q_pick = plan.q_pick
@@ -1215,9 +1229,9 @@ def simulate(
         dt = 1.0 / settings.sample_rate
         ts = np.arange(0.0, t_end + 0.5 * dt, dt)
         ts[-1] = min(ts[-1], t_end)
-        t_solve = time.perf_counter()
+        marks.append(time.perf_counter())
         sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=ts, rtol=settings.rtol, atol=settings.atol)
-        t_post = time.perf_counter()
+        marks.append(time.perf_counter())
         if not sol.success:
             t_fail = float(sol.t[-1]) if sol.t.size else 0.0
             raise SimulationError(f"integration failed at t={t_fail:.6f}: {sol.message}", t_fail)
@@ -1247,8 +1261,8 @@ def simulate(
                 "steps": sol.nst,
                 "equilibrium_residual": residual,
                 "equilibrium_iterations": newton_steps,
-                "presolve_s": t_solve - t_start,
-                "solve_s": t_post - t_solve,
-                "postsolve_s": time.perf_counter() - t_post,
+                "presolve_s": marks[1] - marks[0],
+                "solve_s": marks[2] - marks[1],
+                "postsolve_s": time.perf_counter() - marks[2],
             },
         )

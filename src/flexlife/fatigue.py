@@ -44,21 +44,21 @@ class FatigueMaterial:
 
     def __post_init__(self):
         re_, sw = self.yield_strength, self.fatigue_strength
-        if not (0.0 < sw < re_):
+        if not (0.0 < sw < re_ < math.inf):  # each check fails NaN and inf
             raise ValueError(
-                "need 0 < fatigue_strength < yield_strength, got "
+                "need 0 < fatigue_strength < yield_strength < inf, got "
                 f"fatigue_strength={sw}, yield_strength={re_}"
             )
-        if not (1.0 < self.n_lcf < self.n_hcf):
-            raise ValueError("Woehler anchors must satisfy 1 < n_lcf < n_hcf")
+        if not (1.0 < self.n_lcf < self.n_hcf < math.inf):
+            raise ValueError("Woehler anchors must satisfy 1 < n_lcf < n_hcf < inf")
         pts = tuple((float(m), float(a)) for m, a in self.haigh) or ((0.0, sw), (re_, 0.0))
         if pts[0] != (0.0, sw) or pts[-1] != (re_, 0.0):
             raise ValueError("Haigh polyline must run from (0, sigma_w) to (R_e, 0)")
         means = [p[0] for p in pts]
         amps = [p[1] for p in pts]
-        if any(b <= a for a, b in zip(means, means[1:])):
+        if any(not b > a for a, b in zip(means, means[1:])):
             raise ValueError("Haigh mean stresses must be strictly increasing")
-        if any(b > a for a, b in zip(amps, amps[1:])):
+        if any(not b <= a for a, b in zip(amps, amps[1:])):
             raise ValueError("Haigh amplitude limits must be non-increasing")
         object.__setattr__(self, "haigh", pts)
 

@@ -64,6 +64,12 @@ class TestBeamSpec:
                 beam.BeamSpec(L=0.7, section=sec, material=steel,
                               **dict(zip(("n_v", "n_w", "n_theta"), counts)))
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf, 0.0])
+    def test_length_positive_and_finite(self, steel, length):
+        sec = beam.section_properties(0.035, 0.004)
+        with pytest.raises(ValueError, match="beam length"):
+            beam.BeamSpec(L=length, section=sec, material=steel)
+
 
 class TestMaterial:
     def test_shear_modulus(self, steel):
@@ -74,6 +80,12 @@ class TestMaterial:
             beam.Material(rho=1.0, E=1.0, nu=0.5)
         with pytest.raises(ValueError):
             beam.Material(rho=-1.0, E=1.0, nu=0.3)
+
+    @pytest.mark.parametrize("name", ["rho", "E"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            beam.Material(**{"rho": 7850.0, "E": 2.1e11, "nu": 0.3, name: value})
 
 
 class TestShapeBasis:

@@ -71,6 +71,11 @@ class TestCandidateGrid:
         with pytest.raises(ValueError, match="t2_values must be positive"):
             dsg.CandidateGrid(t1_values=(1 * MM,), t2_values=(2 * MM, t))
 
+    @pytest.mark.parametrize("values", [(math.nan,), (math.inf,), (2 * MM, math.nan)])
+    def test_non_finite_thickness_rejected(self, values):
+        with pytest.raises(ValueError, match="t1_values must be positive and finite"):
+            dsg.CandidateGrid(t1_values=values, t2_values=(1 * MM,))
+
 
 class TestMassCriterion:
     def test_reference_is_zero(self, small_design):
@@ -252,6 +257,18 @@ class TestRunSweep:
         assert res.d_max is not None
         assert outcome.front.ids == (1,)
 
+    def test_criterion_error_keeps_simulation_stats(
+        self, small_design, short_plan, sweep_settings, monkeypatch
+    ):
+        def no_samples(result):
+            raise ValueError("no samples")
+
+        monkeypatch.setattr(dsg, "vibration_criterion", no_samples)
+        grid = dsg.CandidateGrid(t1_values=(4 * MM,), t2_values=(4 * MM,))
+        res = dsg.run_sweep(grid, small_design, short_plan, sweep_settings).results[0]
+        assert res.error == "ValueError: no samples"
+        assert list(res.stats) == list(dsg.SIM_STATS)
+
     def test_lifetime_consistency_and_failure_recording(
         self, small_design, short_plan, sweep_settings
     ):
@@ -319,13 +336,6 @@ class TestRunSweep:
         outcome = dsg.run_sweep(grid, small_design, short_plan, settings)
         assert sizes == [2]
         assert [r.error for r in outcome.results] == [None, None]
-
-    def test_only_pareto_fatigue_skips_dominated(self, small_design, short_plan, sweep_settings):
-        grid = dsg.CandidateGrid(t1_values=(1 * MM, 4 * MM), t2_values=(4 * MM,))
-        settings = dataclasses.replace(sweep_settings, only_pareto_fatigue=True)
-        outcome = dsg.run_sweep(grid, small_design, short_plan, settings)
-        evaluated = {r.config for r in outcome.results if r.d_max is not None}
-        assert evaluated == set(outcome.front.ids)
 
     def test_thinner_first_link_does_not_lower_root_stress(
         self, small_design, short_plan, fast_sim

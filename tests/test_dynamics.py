@@ -674,6 +674,8 @@ class TestSimulate:
         with np.errstate(all="ignore"), pytest.raises(dyn.SimulationError, match=stage) as info:
             dyn.simulate(cfg.design, plan, cfg.sim)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        # the error keeps the seconds of the stage it arose in
+        assert list(info.value.stats) == ["presolve_s"] and info.value.stats["presolve_s"] > 0.0
 
     def test_linearized_periods_without_modes_raises(self, small_design):
         model = dyn.RobotModel(small_design)

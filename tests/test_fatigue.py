@@ -83,6 +83,17 @@ class TestHaigh:
         with pytest.raises(ValueError):
             fat.FatigueMaterial(yield_strength=100.0 * MPA, fatigue_strength=100.0 * MPA)
 
+    @pytest.mark.parametrize("change", [
+        {"n_hcf": math.inf},
+        {"yield_strength": math.inf},
+        {"haigh": ((0.0, 100.0 * MPA), (math.nan, 80.0 * MPA), (300.0 * MPA, 0.0))},
+        {"haigh": ((0.0, 100.0 * MPA), (100.0 * MPA, math.nan), (300.0 * MPA, 0.0))},
+    ], ids=["n_hcf-inf", "yield-inf", "haigh-mean-nan", "haigh-amplitude-nan"])
+    def test_non_finite_rejected(self, change):
+        with pytest.raises(ValueError):
+            fat.FatigueMaterial(**{"yield_strength": 300.0 * MPA,
+                                   "fatigue_strength": 100.0 * MPA, **change})
+
 
 class TestWoehler:
     def test_low_cycle_anchor_exact(self, material):
