@@ -48,11 +48,13 @@ def _finite(ctx, param, value):
 class _Group(click.Group):
     """Maps a command's errors to its exit code and one error line.
     SimulationError is caught by name: click's Exit (as from --help) and
-    Abort are RuntimeErrors too."""
+    Abort are RuntimeErrors too. numpy does not warn of overflow: it ends
+    in one of these errors."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with np.errstate(over="ignore"):
+                return super().invoke(ctx)
         except SimulationError as exc:
             code, message = EXIT_NUMERIC, str(exc)
         except (OSError, ValueError) as exc:  # ConfigError, JSON and decoding errors
@@ -142,11 +144,10 @@ def cmd_fatigue(stress_csv, material_json, t_task, angles, mean_bins, amp_bins, 
         t_task = float(history.times[-1] - history.times[0])
     if t_task <= 0.0:
         raise ConfigError("t_task must be positive (pass --t-task for single-point histories)")
-    with np.errstate(over="ignore"):  # overflow ends in a finiteness error
-        report = fat.critical_plane_lifetime(
-            history, fat.angle_grid(angles), material, t_task,
-            n_mean_bins=mean_bins, n_amp_bins=amp_bins, hysteresis_gate=gate,
-        )
+    report = fat.critical_plane_lifetime(
+        history, fat.angle_grid(angles), material, t_task,
+        n_mean_bins=mean_bins, n_amp_bins=amp_bins, hysteresis_gate=gate,
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "damage_report.json"
@@ -172,10 +173,9 @@ def cmd_rainflow(series_csv, mean_bins, amp_bins, gate, out_dir):
         raise ConfigError("series CSV needs columns 't' and 'sigma'")
     t = np.atleast_1d(data["t"])
     sigma = np.atleast_1d(data["sigma"])
-    with np.errstate(over="ignore"):  # overflow ends in a finiteness error
-        series = rfc.extract_extrema(t, sigma, gate)
-        cycles = rfc.count_cycles(series)
-        matrix = rfc.bin_cycles(cycles, mean_bins, amp_bins)
+    series = rfc.extract_extrema(t, sigma, gate)
+    cycles = rfc.count_cycles(series)
+    matrix = rfc.bin_cycles(cycles, mean_bins, amp_bins)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "rainflow_matrix.csv"

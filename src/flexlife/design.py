@@ -240,7 +240,7 @@ def _evaluate_candidate(args):
         res.stats = {key: result.stats[key] for key in SIM_STATS}
         j_vib = vibration_criterion(result)
         histories = link_stress_histories(design, result)
-    except (SimulationError, ValueError) as exc:  # LinAlgError is a ValueError
+    except (SimulationError, ValueError) as exc:  # ValueError: RobotModel or a criterion
         res.stats = getattr(exc, "stats", res.stats)  # a SimulationError's stages
         res.error = f"{type(exc).__name__}: {exc}"  # the simulation's error wins
         return res, None

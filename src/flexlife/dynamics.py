@@ -861,17 +861,18 @@ def linearized_periods(model: RobotModel, q: np.ndarray) -> np.ndarray:
     from the generalized eigenproblem of the potential Hessian.
 
     LAPACK's dsygvd solves it as ``scipy.linalg.eigh(K, M,
-    eigvals_only=True)`` does, and fails as loudly: ValueError for a
-    non-finite K or M, LinAlgError when dsygvd fails (info > n: M is not
-    positive definite).
+    eigvals_only=True)`` does. A non-finite K or M, a failed dsygvd
+    (info > n: M is not positive definite) and a Hessian without a
+    positive eigenvalue raise SimulationError.
     """
     K = model.potential_hessian(q)[3:, 3:]
     M = model.mass_matrix(q)[3:, 3:]
+    failed = "settling window: vibration periods failed:"
     if not (np.isfinite(K).all() and np.isfinite(M).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise SimulationError(f"{failed} non-finite stiffness or mass matrix")
     w2, _, info = _scipy_extension("linalg._flapack").dsygvd(K, M, itype=1, jobz="N", uplo="L")
     if info != 0:
-        raise np.linalg.LinAlgError(f"generalized eigenproblem failed: dsygvd info {info}")
+        raise SimulationError(f"{failed} generalized eigenproblem: dsygvd info {info}")
     w2 = w2[w2 > 1e-9]
     if w2.size == 0:
         raise SimulationError("no vibration mode: the potential Hessian has no positive eigenvalue")
@@ -968,14 +969,11 @@ def _mass_solver():
 
 @dataclass(frozen=True)
 class OdeResult:
-    """What :func:`solve_ivp` returns: the states at the output times it
-    reached and VODE's counters (f calls, Jacobians, LU factorisations and
-    steps)."""
+    """What :func:`solve_ivp` returns: the states at every output time and
+    VODE's counters (f calls, Jacobians, LU factorisations and steps)."""
 
     t: np.ndarray  # (T,)
     y: np.ndarray  # (N, T)
-    success: bool
-    message: str
     nfev: int
     njev: int
     nlu: int
@@ -988,6 +986,9 @@ _IWORK_NST, _IWORK_NFE, _IWORK_NJE, _IWORK_NLU = 10, 11, 12, 18
 # within seconds instead of crawling on, whatever the output spacing
 _MAX_STEPS = 5000
 _STEP_WINDOW = 1e-3
+# output samples or solver stops allowed in one run (1,000 s at 1 kHz): a
+# longer run is refused before its grids are allocated
+_MAX_SAMPLES = 1_000_000
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
@@ -1074,8 +1075,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
     of fun on the base state and all its perturbations, so fun runs
     nfev + njev times. An exception raised in fun is re-raised as it is.
     A solver failure, including more than ``_MAX_STEPS`` steps in one
-    ``_STEP_WINDOW`` of simulated time, returns success=False with VODE's
-    return code in the message and the outputs reached so far.
+    ``_STEP_WINDOW`` of simulated time, raises SimulationError with VODE's
+    return code and the time it reached; there is no partial result.
     """
     t0, t1 = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
@@ -1100,18 +1101,16 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6) -> OdeResult:
     for t in stops:
         y = y0 if t == t0 else vode.integrate(t)
         if vode.istate < 0:
-            break
+            raise SimulationError(
+                f"integration failed at t={vode.t:.6f}: VODE return code {vode.istate}", vode.t
+            )
         if t == t_eval[done]:
             ys[:, done] = y
             done += 1
-    success = done == t_eval.size
     iwork = vode.iwork
     return OdeResult(
-        t=t_eval[:done],
-        y=ys[:, :done],
-        success=success,
-        message="reached the end of t_eval" if success
-        else f"VODE return code {vode.istate} at t={vode.t:.6g}",
+        t=t_eval,
+        y=ys,
         nfev=int(iwork[_IWORK_NFE]),
         njev=int(iwork[_IWORK_NJE]),
         nlu=int(iwork[_IWORK_NLU]),
@@ -1160,11 +1159,11 @@ def simulate(
 
         t_settle = settings.t_settle
         if t_settle is None:
-            try:
-                t_settle = 2.0 * float(np.max(linearized_periods(model, q0)))
-            except ValueError as exc:  # LinAlgError is a ValueError
-                raise SimulationError(f"settling window: vibration periods failed: {exc}") from exc
+            t_settle = 2.0 * float(np.max(linearized_periods(model, q0)))
         t_end = plan.t_task + t_settle
+        if t_end * max(settings.sample_rate, 1.0 / _STEP_WINDOW) > _MAX_SAMPLES:
+            raise ValueError(f"a run of {t_end:.6g} s at {settings.sample_rate:.6g} Hz needs "
+                             f"more than {_MAX_SAMPLES:,} samples or solver stops")
 
         n_int = 3 if controlled else 0
         y0 = np.zeros(2 * n + n_int)
@@ -1232,9 +1231,6 @@ def simulate(
         marks.append(time.perf_counter())
         sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=ts, rtol=settings.rtol, atol=settings.atol)
         marks.append(time.perf_counter())
-        if not sol.success:
-            t_fail = float(sol.t[-1]) if sol.t.size else 0.0
-            raise SimulationError(f"integration failed at t={t_fail:.6f}: {sol.message}", t_fail)
         Y = sol.y.T
         if not np.all(np.isfinite(Y)):
             raise SimulationError("non-finite state in the solution")

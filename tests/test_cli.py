@@ -37,13 +37,17 @@ def assert_error_exit(result, code: int, message: str):
 
 # demo configs that pass validation but that no run can simulate: a payload
 # whose weight overflows, so the Newton step of the static equilibrium
-# fails, or from rest the settling window's vibration periods; and a hub
-# inertia that overflows the mass-matrix table check
+# fails, or from rest the settling window's vibration periods; a hub
+# inertia that overflows the mass-matrix table check; and runs too long to
+# sample, by their rate, their settling window or a task that crawls
 FAILING_DEMOS = {
     "newton": ({"robot.payload_mass": 1e300}, 3, "static equilibrium"),
     "periods": ({"robot.payload_mass": 1e300, "simulation.initial_elastic": "zero"}, 3,
                 "settling window"),
     "table": ({"robot.hub2_inertia": 1e308}, 2, "table residual nan"),
+    "sample_rate": ({"simulation.sample_rate": 1e13}, 2, "samples or solver stops"),
+    "t_settle": ({"simulation.t_settle": 1e12}, 2, "samples or solver stops"),
+    "v_max": ({"trajectory.limits.v_max": [1e-12] * 3}, 2, "samples or solver stops"),
 }
 
 
@@ -73,8 +77,8 @@ class TestNumericalFailureExits:
             result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out-dir", str(out)])
         assert_error_exit(result, 3, "all candidates failed")
         assert len(result.stderr.splitlines()) == 1, result.stderr
-        # a SimulationError keeps the seconds of the stage it reached; the
-        # table's ValueError comes before any
+        # a SimulationError keeps the seconds of the stage it reached; a
+        # ValueError (the table, the run length) records none
         failed = json.loads((out / "sweep_stats.json").read_text())["candidates"][0]
         timed = {key: value for key, value in failed.items()
                  if key.endswith("_s") and value is not None}

@@ -666,14 +666,18 @@ class TestSimulate:
     def test_overflowing_payload_raises_simulation_error(self, tmp_path, initial_elastic,
                                                          stage):
         # a payload whose weight overflows: LAPACK fails in the Newton step
-        # of the static equilibrium or, from rest, in the vibration periods;
-        # simulate reports either as a SimulationError, not a LinAlgError
+        # of the static equilibrium (a SimulationError from numpy's
+        # LinAlgError) or, from rest, in the vibration periods (raised there)
         cfg = config.load_config(demo_config(tmp_path, **{
             "robot.payload_mass": 1e300, "simulation.initial_elastic": initial_elastic}))
         plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
         with np.errstate(all="ignore"), pytest.raises(dyn.SimulationError, match=stage) as info:
             dyn.simulate(cfg.design, plan, cfg.sim)
-        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        cause = info.value.__cause__
+        if initial_elastic == "static":
+            assert isinstance(cause, np.linalg.LinAlgError)
+        else:
+            assert cause is None
         # the error keeps the seconds of the stage it arose in
         assert list(info.value.stats) == ["presolve_s"] and info.value.stats["presolve_s"] > 0.0
 
@@ -1047,7 +1051,6 @@ class TestVodeDriver:
         y0 = np.ones(A.shape[0])
         exact = expm(A) @ y0
         sol = dyn.solve_ivp(linear(A), (0.0, 1.0), y0, rtol=1e-8, atol=1e-10)
-        assert sol.success
         np.testing.assert_allclose(sol.y[:, -1], exact, rtol=0.0, atol=1e-6 * np.abs(exact).max())
         assert sol.nfev < 1000
 
@@ -1065,8 +1068,8 @@ class TestVodeDriver:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not probe_solves(PROBE_A)
-            sol = dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0], rtol=1e-6, atol=1e-9)
-            assert not sol.success
+            with pytest.raises(dyn.SimulationError, match="VODE return code -1"):
+                dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0], rtol=1e-6, atol=1e-9)
             dyn.simulate(small_design, short_plan, fast_sim)
 
     def test_counters_count_rhs_calls_and_steps(self):
@@ -1080,7 +1083,7 @@ class TestVodeDriver:
 
         sol = dyn.solve_ivp(fun, (0.0, 1.0), np.ones(3), t_eval=np.linspace(0.0, 1.0, 11),
                             rtol=1e-8, atol=1e-10)
-        assert sol.success and sol.t.tolist() == np.linspace(0.0, 1.0, 11).tolist()
+        assert sol.t.tolist() == np.linspace(0.0, 1.0, 11).tolist()
         assert widths.count(1) == sol.nfev
         assert widths.count(4) == sol.njev > 0
         assert sol.nfev >= sol.nst > 0
@@ -1103,13 +1106,12 @@ class TestVodeDriver:
         assert callback == "jac" or info.value.args[0] > 0.1
 
     def test_stall_returns_failure_with_return_code(self):
-        # y' = y^2 blows up at t = 1: the step size collapses
-        sol = dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0],
-                            t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-6, atol=1e-9)
-        assert not sol.success
-        assert "return code -1" in sol.message
-        assert sol.t[-1] < 1.0 < sol.t[-1] + 0.1 + 1e-12
-        assert sol.y.shape == (1, sol.t.size)
+        # y' = y^2 blows up at t = 1: the step size collapses, and the error
+        # names the time VODE reached, not the last output time
+        with pytest.raises(dyn.SimulationError, match="VODE return code -1") as info:
+            dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0],
+                          t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-6, atol=1e-9)
+        assert 0.99 < info.value.t_failure < 1.0
 
     def test_step_limit_counts_simulated_time(self):
         # 200 periods in one output interval take about 14,000 steps, well
@@ -1117,7 +1119,7 @@ class TestVodeDriver:
         w = 2.0 * np.pi * 200.0
         A = np.array([[0.0, 1.0], [-w * w, 0.0]])
         sol = dyn.solve_ivp(linear(A), (0.0, 1.0), [1.0, 0.0], rtol=1e-6, atol=1e-9)
-        assert sol.success and sol.nst > dyn._MAX_STEPS
+        assert sol.nst > dyn._MAX_STEPS
         np.testing.assert_allclose(sol.y[:, -1] / [1.0, w], [1.0, 0.0], rtol=0.0, atol=1e-2)
 
     def test_coarse_sample_rate_completes(self, small_design, short_plan, fast_sim,
@@ -1289,7 +1291,7 @@ def run_both(monkeypatch, run):
 def assert_same_solve(direct, oracle):
     for field in ("t", "y"):
         assert getattr(direct, field).tobytes() == getattr(oracle, field).tobytes()
-    for field in ("success", "message", "nfev", "njev", "nlu", "nst"):
+    for field in ("nfev", "njev", "nlu", "nst"):
         assert getattr(direct, field) == getattr(oracle, field), field
 
 
@@ -1306,7 +1308,7 @@ class TestDirectVodeCall:
             lambda: dyn.solve_ivp(linear(A), (0.0, 1.0), np.ones(A.shape[0]),
                                   t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-8, atol=1e-10),
         )
-        assert direct.success and len(stops) >= 10
+        assert len(stops) >= 10
         assert_same_solve(direct, oracle)
         assert stops == oracle_stops and end == oracle_end
 
@@ -1320,14 +1322,16 @@ class TestDirectVodeCall:
             assert direct.stats[key] == oracle.stats[key], key
 
     def test_blow_up(self, monkeypatch):
-        # y' = y^2 blows up at t = 1: VODE gives up with return code -1
+        # y' = y^2 blows up at t = 1: VODE gives up with return code -1, and
+        # both drivers raise the same error at the same time
         (direct, stops, end), (oracle, oracle_stops, oracle_end) = run_both(
             monkeypatch,
             lambda: dyn.solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0],
                                   t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-6, atol=1e-9),
         )
-        assert not direct.success and "return code -1" in direct.message
-        assert_same_solve(direct, oracle)
+        assert isinstance(direct, dyn.SimulationError) and isinstance(oracle, dyn.SimulationError)
+        assert "VODE return code -1" in str(direct) and str(direct) == str(oracle)
+        assert direct.t_failure == oracle.t_failure
         assert stops == oracle_stops and end == oracle_end
 
     def test_callback_raising_mid_run(self, monkeypatch):
@@ -1417,6 +1421,8 @@ class TestLinearizedPeriodsLapack:
 
     @pytest.mark.parametrize("fault", ["nan_stiffness", "indefinite_mass"])
     def test_failures_raise_as_eigh(self, fault):
+        # where eigh raises its ValueError or LinAlgError, the direct call
+        # raises SimulationError, named as simulate's settling window stage
         K, M = np.diag([2.0, 3.0, 5.0]), np.eye(3)
         if fault == "nan_stiffness":
             K[1, 2] = K[2, 1] = np.nan
@@ -1427,7 +1433,7 @@ class TestLinearizedPeriodsLapack:
         model = PairModel(K, M)
         with pytest.raises(expected):
             eigh_periods(model, None)
-        with pytest.raises(expected):
+        with pytest.raises(dyn.SimulationError, match="^settling window: vibration periods"):
             dyn.linearized_periods(model, None)
 
 
