@@ -93,9 +93,9 @@ def _write_history(path: Path, result, n_e1: int, n_e2: int) -> None:
 def cmd_simulate(config_path, out_dir):
     """Run one load-case simulation; write history and stress CSV files."""
     cfg = load_config(config_path)
+    plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
     out = Path(out_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
     if plan.t_task == 0.0:
         click.echo("note: q_pick equals q_place (t_task = 0); settling-only run")
     result = simulate(cfg.design, plan, cfg.sim)
@@ -271,9 +271,9 @@ def _write_sweep_stats(out: Path, outcome: SweepOutcome) -> None:
 def cmd_sweep(config_path, out_dir, jobs):
     """Evaluate the full thickness grid and extract the Pareto front."""
     cfg = load_config(config_path)
+    plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
     out = Path(out_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    plan = plan_joint_move(cfg.q_pick, cfg.q_place, cfg.limits)
     outcome = run_sweep(cfg.grid, cfg.design, plan, cfg.sweep_settings(jobs=jobs))
     _write_sweep_stats(out, outcome)
     if not outcome.front.ids:  # every candidate failed

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .beam import Material, section_properties
@@ -105,36 +105,23 @@ def _object(cls, readers: dict, required=()):
 
 
 _triple = partial(_list, n=3)
-# the SweepSettings fields that RunConfig holds too
-_SWEEP_FIELDS = [f.name for f in fields(SweepSettings) if f.name != "keep_histories"]
 
 
-@dataclass
-class RunConfig:
-    """Validated configuration of a full pipeline run."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SweepSettings):
+    """A validated run: the sweep's settings, the base design, the task and the grid."""
 
     design: RobotDesign
     q_pick: tuple[float, float, float]
     q_place: tuple[float, float, float]
     limits: list[JointLimits]
-    sim: SimSettings
-    fatigue_material: FatigueMaterial
-    n_angles: int
-    n_mean_bins: int
-    n_amp_bins: int
-    hysteresis_gate: float
-    include_residue: bool
     grid: CandidateGrid
-    reference: tuple[float, float]
-    jobs: int
     output_dir: str = "out"
 
     def sweep_settings(self, jobs: int | None = None,
                        keep_histories: bool = False) -> SweepSettings:
-        kw = {name: getattr(self, name) for name in _SWEEP_FIELDS}
-        if jobs is not None:
-            kw["jobs"] = jobs
-        return SweepSettings(**kw, keep_histories=keep_histories)
+        return replace(self, jobs=self.jobs if jobs is None else jobs,
+                       keep_histories=keep_histories)
 
 
 def _stress_point(value, path: str) -> tuple[float, float]:
@@ -264,9 +251,7 @@ def _build_config(raw: dict) -> RunConfig:
     grid = _build(CandidateGrid, "sweep",
                   t1_values=sweep.pop("t1_values"), t2_values=sweep.pop("t2_values"))
     fat = top.pop("fatigue")
-    # of the values read here the gate and the count bounds are left to check
-    settings = _build(SweepSettings, "fatigue", sim=sim,
-                      fatigue_material=fat.pop("material"), **fat, **sweep)
-    shared = {name: getattr(settings, name) for name in _SWEEP_FIELDS}
-    # top still holds output_dir, if given
-    return RunConfig(design=design, grid=grid, **top.pop("trajectory"), **shared, **top)
+    # top may still hold output_dir; RunConfig checks the gate and the counts
+    return _build(RunConfig, "fatigue", design=design, grid=grid, sim=sim,
+                  fatigue_material=fat.pop("material"), **top.pop("trajectory"),
+                  **fat, **sweep, **top)

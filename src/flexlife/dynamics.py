@@ -55,8 +55,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beam import BeamSpec, Material, RitzBasis, quadrature, section_properties, shape_basis
-from .beam import curvature_map, gram, rotation_rows, shape_rows, stiffness_matrix
+from .beam import MAX_MODES, BeamSpec, Material, RitzBasis, quadrature, section_properties
+from .beam import curvature_map, gram, rotation_rows, shape_basis, shape_rows, stiffness_matrix
 from .trajectory import TrajectoryPlan
 
 _EX = np.array([1.0, 0.0, 0.0])
@@ -119,6 +119,9 @@ class DriveParams:
             raise ValueError(f"torque_limit must be positive, got {self.torque_limit}")
         if not 0.0 <= self.damping < math.inf:
             raise ValueError(f"damping must be >= 0 and finite, got {self.damping}")
+        # reflected_inertia squares the ratio; a float ** past the largest double raises
+        if not math.isfinite(self.rotor_inertia * (self.gear_ratio * self.gear_ratio)):
+            raise ValueError(f"gear_ratio {self.gear_ratio}: reflected inertia overflows a double")
 
     @property
     def reflected_inertia(self) -> float:
@@ -147,6 +150,10 @@ class LinkParams:
         for name in ("length", "wall_thickness"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        # the beam model cubes the length and squares wavenumbers below MAX_MODES pi / length
+        wavenumber = MAX_MODES * math.pi / self.length
+        if not math.isfinite(self.length * self.length * self.length + wavenumber * wavenumber):
+            raise ValueError(f"length {self.length:g} m overflows a double in the beam model")
         if not 0.0 <= self.damping_beta < math.inf:
             raise ValueError(f"damping_beta must be >= 0 and finite, got {self.damping_beta}")
         for name in ("stress_y", "stress_z"):

@@ -62,7 +62,7 @@ def _phase_times(h: float, v: float, a: float, j: float) -> tuple[float, float, 
 class _JointProfile:
     """Seven-segment profile for one joint, integrated in closed form."""
 
-    def __init__(self, q0: float, q1: float, limits: JointLimits):
+    def __init__(self, q0: float, q1: float, limits: JointLimits, joint: int):
         self.q0 = float(q0)
         self.q1 = float(q1)
         dq = self.q1 - self.q0
@@ -73,23 +73,29 @@ class _JointProfile:
             self._jerk = [0.0]
             return
         sign = 1.0 if dq > 0 else -1.0
-        tj, ta, tc = _phase_times(abs(dq), limits.v_max, limits.a_max, limits.j_max)
-        durations = [tj, ta, tj, tc, tj, ta, tj]
-        jerks = [sign * limits.j_max * s for s in (1.0, 0.0, -1.0, 0.0, -1.0, 0.0, 1.0)]
-
-        knots = [0.0]
-        state = [(self.q0, 0.0, 0.0)]
-        jerk = []
-        q, v, a = self.q0, 0.0, 0.0
-        for dt, jk in zip(durations, jerks):
-            if dt <= 0.0:
-                continue
-            jerk.append(jk)
-            q += v * dt + 0.5 * a * dt * dt + jk * dt**3 / 6.0
-            v += a * dt + 0.5 * jk * dt * dt
-            a += jk * dt
-            knots.append(knots[-1] + dt)
-            state.append((q, v, a))
+        try:
+            tj, ta, tc = _phase_times(abs(dq), limits.v_max, limits.a_max, limits.j_max)
+            durations = [tj, ta, tj, tc, tj, ta, tj]
+            jerks = [sign * limits.j_max * s for s in (1.0, 0.0, -1.0, 0.0, -1.0, 0.0, 1.0)]
+            knots = [0.0]
+            state = [(self.q0, 0.0, 0.0)]
+            jerk = []
+            q, v, a = self.q0, 0.0, 0.0
+            for dt, jk in zip(durations, jerks):
+                if dt <= 0.0:
+                    continue
+                jerk.append(jk)
+                q += v * dt + 0.5 * a * dt * dt + jk * dt**3 / 6.0
+                v += a * dt + 0.5 * jk * dt * dt
+                a += jk * dt
+                knots.append(knots[-1] + dt)
+                state.append((q, v, a))
+            finite = all(map(math.isfinite, (knots[-1], q, v, a)))
+        except OverflowError:  # a float ** past the largest double; a * gives inf
+            finite = False
+        if not finite:
+            raise ValueError(f"joint {joint}: the move from {self.q0:g} to {self.q1:g} rad "
+                             f"under {limits} overflows a double")
         self.duration = knots[-1]
         self._knots = knots
         self._state = state
@@ -185,6 +191,6 @@ def plan_joint_move(
         limits = [limits] * q_pick.size
     if len(limits) != q_pick.size:
         raise ValueError(f"expected {q_pick.size} joint limits, got {len(limits)}")
-    profiles = [_JointProfile(a, b, lim) for a, b, lim in zip(q_pick, q_place, limits)]
+    profiles = [_JointProfile(*move, k) for k, move in enumerate(zip(q_pick, q_place, limits), 1)]
     return TrajectoryPlan(profiles)
 

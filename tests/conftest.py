@@ -105,9 +105,10 @@ def demo_config(tmp_path: Path, **overrides) -> Path:
 
 
 def _write_config(tmp_path: Path, cfg: dict, overrides: dict) -> Path:
+    """Set each dotted key, whose integer parts index lists, and write cfg."""
     for key, value in overrides.items():
         node = cfg
-        *parents, leaf = key.split(".")
+        *parents, leaf = [int(p) if p.isdigit() else p for p in key.split(".")]
         for p in parents:
             node = node[p]
         node[leaf] = value

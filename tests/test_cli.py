@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from flexlife.cli import _fmt, main
-from flexlife.config import ConfigError, load_config
+from flexlife.config import ConfigError, RunConfig, load_config
+from flexlife.design import SweepSettings
 from tests.conftest import DEMO_CONFIG, REPO_ROOT, demo_config, fast_config
 
 
@@ -89,6 +91,43 @@ class TestNumericalFailureExits:
         stats = json.loads((out / "sweep_stats.json").read_text())
         assert message in stats["candidates"][0]["error"]
         assert stats["totals"]["errors"] == 1
+
+
+# demo configs whose derived quantities overflow a double: a Python float
+# ** raises OverflowError where numpy gives inf, and each of these once
+# ended in a traceback with exit 1. The move's phase times and knots fail
+# in plan_joint_move, before any candidate; a link length (its length**3
+# or its wavenumbers squared) and a drive's reflected inertia fail in the
+# dataclass that the config builds, with the key path
+OVERFLOW_DEMOS = {
+    "q_pick": ({"trajectory.q_pick": [1e300] * 3}, "joint 1: the move from 1e+300 to"),
+    "q_place": ({"trajectory.q_place": [1e300] * 3}, "joint 1: the move from -0.9 to 1e+300"),
+    "v_max": ({"trajectory.limits.v_max": [1e-300] * 3}, "v_max=1e-300"),
+    "a_max": ({"trajectory.limits.a_max": [1e-300] * 3}, "a_max=1e-300"),
+    "j_max": ({"trajectory.limits.j_max": [1e-300] * 3}, "j_max=1e-300"),
+    "length-1e-300": ({f"robot.links.{k}.length": 1e-300 for k in range(2)},
+                      "robot.links[0]: length 1e-300 m overflows"),
+    "length-1e300": ({f"robot.links.{k}.length": 1e300 for k in range(2)},
+                     "robot.links[0]: length 1e+300 m overflows"),
+    "gear_ratio": ({f"robot.drives.{k}.gear_ratio": 1e300 for k in range(3)},
+                   "robot.drives[0]: gear_ratio 1e+300: reflected inertia"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOW_DEMOS))
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflowing_demo_exits_2(runner, tmp_path, command, case):
+    overrides, message = OVERFLOW_DEMOS[case]
+    cfg = demo_config(tmp_path, **overrides, **{"sweep.t1_values": [0.004],
+                                                "sweep.t2_values": [0.004]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out-dir", str(out)])
+    assert_error_exit(result, 2, message)
+    assert "overflows a double" in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert not out.exists()
 
 
 class TestConfigValidation:
@@ -751,3 +790,18 @@ def test_integral_float_counts_load(tmp_path):
     cfg = load_config(fast_config(tmp_path, **{"fatigue.n_angles": 73.0, "sweep.jobs": 2.0}))
     assert cfg.n_angles == 73 and isinstance(cfg.n_angles, int)
     assert cfg.jobs == 2 and isinstance(cfg.jobs, int)
+
+
+def test_run_config_is_the_sweep_settings():
+    # one settings record: a run's config is the sweep's settings plus the
+    # design, the task and the grid, and declares no sweep setting again
+    cfg = load_config(DEMO_CONFIG)
+    assert isinstance(cfg, SweepSettings)
+    settings = cfg.sweep_settings(jobs=3, keep_histories=True)
+    changed = {f.name for f in dataclasses.fields(RunConfig)
+               if getattr(settings, f.name) != getattr(cfg, f.name)}
+    assert changed == {"jobs", "keep_histories"}
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert len(names) == len(set(names))
+    assert set(RunConfig.__annotations__) == {"design", "q_pick", "q_place", "limits", "grid",
+                                             "output_dir"}

@@ -307,6 +307,8 @@ class TestLinkParams:
         ("length", np.nan), ("length", np.inf), ("wall_thickness", np.nan),
         ("damping_beta", np.nan), ("damping_beta", np.inf), ("stress_y", np.nan),
         ("stress_z", np.inf),
+        # the beam model cubes the length and squares its wavenumbers
+        ("length", 1e-300), ("length", 1e-160), ("length", 1e103), ("length", 1e300),
     ])
     def test_out_of_range_field_named(self, field, value):
         kw = {"length": 0.6, "wall_thickness": 0.004, field: value}
@@ -322,6 +324,8 @@ class TestDriveParams:
         ("gear_ratio", -100.0), ("gear_ratio", np.nan), ("stiffness", np.nan),
         ("stiffness", np.inf), ("damping", -1.0), ("damping", np.nan), ("damping", np.inf),
         ("torque_limit", 0.0), ("torque_limit", np.nan), ("torque_limit", -np.inf),
+        # the reflected inertia squares the ratio
+        ("gear_ratio", 1e160), ("gear_ratio", 1e300),
     ])
     def test_out_of_range_field_named(self, field, value):
         kw = {"rotor_inertia": 5e-5, "gear_ratio": 100.0, "stiffness": 1.5e4, field: value}

@@ -151,3 +151,17 @@ def test_input_validation():
         JointLimits(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         JointLimits(1.0, 1.0, np.inf)
+
+
+def test_move_that_overflows_a_double_names_the_joint():
+    # Python's float ** raises OverflowError past the largest double, and
+    # its * gives inf: a move whose phase times or knots leave the doubles
+    # is a ValueError naming the joint and its limits
+    fine = JointLimits(4.0, 20.0, 150.0)
+    for q0, q1, lims in ((0.0, 1e300, fine), (-1.7e308, 1.7e308, fine),
+                         (0.0, 1.0, JointLimits(1e-300, 20.0, 150.0)),
+                         (0.0, 1.0, JointLimits(4.0, 1e-300, 150.0)),
+                         (0.0, 1.0, JointLimits(4.0, 20.0, 1e-300))):
+        with pytest.raises(ValueError, match=r"joint 2: .* under JointLimits\(.* overflows a double"):
+            plan_joint_move([0.0, q0], [1.0, q1], [fine, lims])
+    assert plan_joint_move([0.0], [1e200], JointLimits(1e200, 1e200, 1e300)).t_task == 2.0
